@@ -156,15 +156,12 @@ class MlqScheduler(Scheduler):
             cost += -(-adapter_bytes // self.model.kv_bytes_per_token)
         return cost
 
-    def _classify(self, wrs: float) -> _Queue:
-        for queue in self.queues:
-            if wrs < queue.upper:
-                return queue
-        return self.queues[-1]
-
     def size_class(self, wrs: float) -> int:
         """Index of the queue a WRS value falls into (0 = smallest)."""
-        return self.queues.index(self._classify(wrs))
+        for index, queue in enumerate(self.queues):
+            if wrs < queue.upper:
+                return index
+        return len(self.queues) - 1
 
     # ------------------------------------------------------------------ #
     # Scheduler interface
@@ -184,17 +181,16 @@ class MlqScheduler(Scheduler):
         self._samples.append(
             _Sample(time=now, wrs=request.wrs, token_cost=request.token_cost, est_duration=est)
         )
-        queue = self._classify(request.wrs)
-        request.queue_index = self.queues.index(queue)
-        queue.items.append(request)
+        request.queue_index = index = self.size_class(request.wrs)
+        self.queues[index].items.append(request)
 
     def requeue_front(self, request: Request, now: float) -> None:
         # A squashed request returns its borrowed tokens (it will be charged
         # again on re-admission) and releases its adapter-share charge.
         self._release_charges(request)
-        queue = self._classify(request.wrs if request.wrs is not None else 0.0)
-        request.queue_index = self.queues.index(queue)
-        queue.items.insert(0, request)
+        request.queue_index = index = self.size_class(
+            request.wrs if request.wrs is not None else 0.0)
+        self.queues[index].items.insert(0, request)
 
     def queued_requests(self) -> Iterable[Request]:
         return list(itertools.chain.from_iterable(q.items for q in self.queues))
@@ -239,6 +235,8 @@ class MlqScheduler(Scheduler):
     def select(self, ctx: AdmissionContext) -> None:
         if self._total_tokens is None:
             self._init_quotas(ctx.total_token_capacity, ctx.now)
+        if not self._bypass_pairs and not any(q.items for q in self.queues):
+            return  # nothing to squash or admit: both phases are no-ops
         self._check_squash(ctx)
 
         # Phase 1: every queue admits up to its own available quota;
@@ -411,15 +409,16 @@ class MlqScheduler(Scheduler):
         old_charges = list(self._charges.values())
         self.queues = [_Queue(upper=u) for u in uppers]
         for request in waiting:
-            queue = self._classify(request.wrs if request.wrs is not None else 0.0)
-            request.queue_index = self.queues.index(queue)
-            queue.items.append(request)
+            request.queue_index = index = self.size_class(
+                request.wrs if request.wrs is not None else 0.0)
+            self.queues[index].items.append(request)
 
         # Carry running requests' borrowed tokens over to the new queues.
         self._charges = {}
         for request, charges in old_charges:
             amount = sum(a for _, a in charges)
-            queue = self._classify(request.wrs if request.wrs is not None else 0.0)
+            queue = self.queues[self.size_class(
+                request.wrs if request.wrs is not None else 0.0)]
             queue.borrowed += amount
             self._charges[request.request_id] = (request, [(queue, amount)])
 
@@ -430,10 +429,10 @@ class MlqScheduler(Scheduler):
         assert self._total_tokens is not None
         window = max(1.0, now - self._samples[0].time) if self._samples else 1.0
         stats = []
-        for queue in self.queues:
+        for index in range(len(self.queues)):
             members = [
                 s for s in self._samples
-                if self._classify(s.wrs) is queue
+                if self.size_class(s.wrs) == index
             ]
             if members:
                 stats.append(

@@ -167,9 +167,10 @@ class CostModel:
         t = self.params.iteration_overhead
         for n_tokens, rank in prefill_work:
             t += self.prefill_time(n_tokens, rank)
-        t += self.decode_step_time(
-            n_decode, decode_context_tokens, decode_total_rank, decode_lora_requests
-        )
+        if n_decode > 0:  # an empty decode step costs exactly 0.0
+            t += self.decode_step_time(
+                n_decode, decode_context_tokens, decode_total_rank, decode_lora_requests
+            )
         return t
 
     def isolated_request_time(

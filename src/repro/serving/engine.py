@@ -19,6 +19,35 @@ Key behaviours reproduced from the paper:
   budget, with decode always included (the Figure 8 "Chunk-Prefill" baseline).
 * Opportunistic-bypass squashing (§4.3.3): the scheduler may remove a
   running request, rolling back all progress, to re-admit a bypassed one.
+
+The iteration loop costs O(1) plus O(requests prefilled, admitted or
+finished) per step, never O(batch):
+
+* **Batch split by phase.**  The running batch is a list of prefilling
+  requests and an insertion-ordered dict of decoding ones (keyed by
+  identity).  Both keep batch-admission order, and every decoding request
+  precedes every prefilling one in that order: each iteration's prefill
+  plan is a prefix of the prefilling list, so prefill completes in order.
+  A request's adapter rank is looked up once, when it enters the batch.
+* **Running totals.**  The cost model's decode inputs (batch size, context
+  tokens, rank sum, LoRA count) are kept as totals that change when a
+  request joins or leaves decode; context tokens also grow by the batch
+  size once per step.
+* **Finish buckets.**  A decoding request sits in the bucket of the step
+  that emits its last token, so a step pops one bucket instead of visiting
+  the batch.  Single-token requests finish straight out of prefill; within
+  a step they finish first, in plan order, then the bucket in batch order.
+* **Step log.**  Each step's completion time is appended once to the
+  engine's step log.  A decoding request's tokens are the log entries from
+  its first-token step on, so nothing is written per request per step.
+
+Visibility contract: a DECODE request's ``tokens_generated`` and
+``token_times`` may lag the simulation.  They are brought current by every
+engine method that reads them (:meth:`~ServingEngine.in_flight_token_load`,
+:meth:`~ServingEngine.estimate_earliest_release`,
+:meth:`~ServingEngine.squash`, :meth:`~ServingEngine.fail`), by
+:meth:`~ServingEngine.sync_progress`, when ``run_trace`` returns, and
+always when the request leaves decode (finished, rolled back or lost).
 """
 
 from __future__ import annotations
@@ -78,6 +107,26 @@ class EngineConfig:
     load_stall_bandwidth: Optional[float] = 2.0 * GB
 
 
+#: Step-log length that triggers dropping entries no decoding request
+#: still needs (the threshold then doubles with the retained length).
+_STEP_LOG_TRIM = 4096
+
+
+class _Slot:
+    """A request's place in the running batch; dropped when it leaves.
+
+    ``first_step`` is the step-log index of the request's first token, set
+    when its prefill completes.
+    """
+
+    __slots__ = ("request", "rank", "first_step")
+
+    def __init__(self, request: Request, rank: Optional[int]) -> None:
+        self.request = request
+        self.rank = rank
+        self.first_step = 0
+
+
 @dataclass
 class EngineStats:
     """Run counters the experiments report."""
@@ -89,6 +138,15 @@ class EngineStats:
     decode_tokens: int = 0
     squashes: int = 0
     admissions: int = 0
+
+
+def _index_by_identity(items: Iterable, request: Request) -> Optional[int]:
+    """Position of ``request`` in ``items``, or ``None``.  Compares
+    identities: the dataclass ``__eq__`` would compare every field."""
+    for index, item in enumerate(items):
+        if item is request:
+            return index
+    return None
 
 
 class ServingEngine:
@@ -121,12 +179,24 @@ class ServingEngine:
         self.config = config if config is not None else EngineConfig()
         self.stats = EngineStats()
 
-        self._running: list[Request] = []
+        # The running batch and its decode totals (see the module docstring).
+        self._prefilling: list[_Slot] = []
+        self._decoding: dict[int, _Slot] = {}
+        self._finishing: dict[int, dict[int, _Slot]] = {}  # last step -> slots
+        self._ctx_tokens = 0
+        self._total_rank = 0
+        self._n_lora = 0
+        #: Completion times of steps ``_step_base`` onwards.
+        self._steps: list[float] = []
+        self._step_base = 0
+        self._trim_at = _STEP_LOG_TRIM
         self._pending_load: list[Request] = []
         self._finish_callbacks: list = []
         self._load_callbacks: list = []
         self._iteration_event = None
-        self._last_decode_step_time = 0.02  # seed for release-time estimates
+        #: Decode aggregates of the last iteration that decoded; release
+        #: estimates price a step from them (0.02 s before any decode).
+        self._last_decode: Optional[tuple[int, int, int, int]] = None
         self._pending_stall = 0.0           # engine time owed to adapter copies
         self.all_requests: list[Request] = []
         self.batch_occupancy: list[tuple[float, int]] = []
@@ -165,8 +235,12 @@ class ServingEngine:
         size = self.registry.get(adapter_id).size_bytes
         return -(-size // self.model.kv_bytes_per_token)  # ceil division
 
+    def _batch_len(self) -> int:
+        """Admitted requests: running plus waiting on adapter loads."""
+        return len(self._prefilling) + len(self._decoding) + len(self._pending_load)
+
     def in_flight_count(self) -> int:
-        return len(self._running) + len(self._pending_load) + self.scheduler.queue_len()
+        return self._batch_len() + self.scheduler.queue_len()
 
     def capability(self) -> float:
         """Relative serving throughput of this replica (arbitrary units).
@@ -198,7 +272,16 @@ class ServingEngine:
         Falls back to the true output length when no prediction exists.
         """
         total = 0.0
-        for request in self._running + self._pending_load:
+        n_steps = self._step_base + len(self._steps)
+        for slot in self._decoding.values():  # no prefill left
+            request = slot.request
+            tokens = n_steps - slot.first_step
+            if len(request.token_times) < tokens:  # both fields lag together
+                self._catch_up(slot)
+            predicted = request.predicted_output_tokens or request.output_tokens
+            total += max(0, predicted - tokens)
+        waiting = [slot.request for slot in self._prefilling]
+        for request in waiting + self._pending_load:
             predicted = request.predicted_output_tokens or request.output_tokens
             total += request.remaining_prefill_tokens
             total += max(0, predicted - request.tokens_generated)
@@ -274,6 +357,25 @@ class ServingEngine:
         if self.config.memory_telemetry_interval is not None and horizon is not None:
             self._schedule_memory_sampling(horizon)
         self.sim.run(until=horizon)
+        self.sync_progress()
+
+    def sync_progress(self) -> None:
+        """Bring every decoding request's ``tokens_generated`` and
+        ``token_times`` up to the last completed step (see the module
+        docstring's visibility contract)."""
+        for slot in self._decoding.values():
+            self._catch_up(slot)
+
+    def _catch_up(self, slot: _Slot) -> None:
+        request = slot.request
+        first = slot.first_step
+        tokens = self._step_base + len(self._steps) - first
+        request.tokens_generated = tokens
+        times = request.token_times
+        have = len(times)
+        if have < tokens:
+            start = first - self._step_base
+            times.extend(self._steps[start + have:start + tokens])
 
     def summary(self, **kwargs) -> RunSummary:
         return summarize_run(self.all_requests, **kwargs)
@@ -284,7 +386,7 @@ class ServingEngine:
     def admit(self, request: Request) -> AdmitResult:
         if request.state not in (RequestState.QUEUED, RequestState.CREATED):
             raise RuntimeError(f"request {request.request_id} is not admissible ({request.state})")
-        if len(self._running) + len(self._pending_load) >= self.config.max_batch_size:
+        if self._batch_len() >= self.config.max_batch_size:
             return AdmitResult.BATCH_FULL
 
         kv_bytes = (request.input_tokens + request.output_tokens) * self.model.kv_bytes_per_token
@@ -326,19 +428,61 @@ class ServingEngine:
         # actually planned (the per-iteration budget can defer it).
         if request.adapter_ready_time is None:
             request.adapter_ready_time = now
-        self._running.append(request)
+        self._prefilling.append(_Slot(request, self.request_rank(request)))
+
+    def _enter_decode(self, slot: _Slot, step: int) -> None:
+        """Move a request whose first token was emitted at ``step`` (its
+        slot already off the prefill list) into decode."""
+        request = slot.request
+        slot.first_step = step
+        key = id(request)
+        self._decoding[key] = slot
+        last = step + request.output_tokens - 1
+        bucket = self._finishing.get(last)
+        if bucket is None:
+            self._finishing[last] = {key: slot}
+        else:
+            bucket[key] = slot
+        self._ctx_tokens += request.input_tokens + 1
+        if slot.rank is not None:
+            self._total_rank += slot.rank
+            self._n_lora += 1
+
+    def _leave_decode(self, slot: _Slot) -> None:
+        """Take a request out of decode (its finish bucket is the caller's
+        business), bringing its tokens current."""
+        request = slot.request
+        del self._decoding[id(request)]
+        self._catch_up(slot)
+        self._ctx_tokens -= request.input_tokens + request.tokens_generated
+        if slot.rank is not None:
+            self._total_rank -= slot.rank
+            self._n_lora -= 1
 
     # ------------------------------------------------------------------ #
     # Squashing (§4.3.3)
     # ------------------------------------------------------------------ #
     def squash(self, request: Request) -> None:
         """Abort a running/loading request and roll back all its progress."""
-        if request in self._running:
-            self._running.remove(request)
-        elif request in self._pending_load:
-            self._pending_load.remove(request)
+        key = id(request)
+        slot = self._decoding.get(key)
+        if slot is not None:
+            self._leave_decode(slot)
+            last = slot.first_step + request.output_tokens - 1
+            bucket = self._finishing[last]
+            del bucket[key]
+            if not bucket:
+                del self._finishing[last]
         else:
-            raise RuntimeError(f"cannot squash request {request.request_id}: not in flight")
+            index = _index_by_identity((s.request for s in self._prefilling), request)
+            if index is not None:
+                del self._prefilling[index]
+            else:
+                index = _index_by_identity(self._pending_load, request)
+                if index is None:
+                    raise RuntimeError(
+                        f"cannot squash request {request.request_id}: not in flight")
+                del self._pending_load[index]
         self._rollback(request)
         request.squash_count += 1
         request.state = RequestState.QUEUED
@@ -409,14 +553,20 @@ class ServingEngine:
         queued = self.scheduler.drain()
         loading = list(self._pending_load)
         self._pending_load.clear()
-        started, unstarted = [], []
-        for request in self._running:
-            if request.prefill_start_time is None and \
-                    request.tokens_generated == 0:
-                unstarted.append(request)
+        # Batch order: every decoding request precedes every prefilling one.
+        self.sync_progress()  # stranded requests keep their timeline
+        started = [slot.request for slot in self._decoding.values()]
+        unstarted = []
+        for slot in self._prefilling:
+            # No token yet: started means a prefill chunk was planned.
+            if slot.request.prefill_start_time is None:
+                unstarted.append(slot.request)
             else:
-                started.append(request)
-        self._running.clear()
+                started.append(slot.request)
+        self._prefilling = []
+        self._decoding = {}
+        self._finishing = {}
+        self._ctx_tokens = self._total_rank = self._n_lora = 0
         admitted = loading + unstarted + (started if retry_started else [])
         if migrate:
             recoverable = admitted + queued
@@ -462,11 +612,14 @@ class ServingEngine:
         queued = self.scheduler.drain()
         loading = list(self._pending_load)
         self._pending_load.clear()
-        unstarted = [r for r in self._running
-                     if r.prefill_start_time is None
-                     and r.tokens_generated == 0]
-        for request in unstarted:
-            self._running.remove(request)
+        unstarted = []
+        kept = []
+        for slot in self._prefilling:  # decoding requests have all started
+            if slot.request.prefill_start_time is None:
+                unstarted.append(slot.request)
+            else:
+                kept.append(slot)
+        self._prefilling = kept
         for request in loading + unstarted:
             self._rollback(request)
         evacuated = loading + unstarted + queued
@@ -493,14 +646,20 @@ class ServingEngine:
     def estimate_earliest_release(self) -> float:
         """Predicted seconds until some running request frees its memory."""
         best = float("inf")
-        for request in self._running:
+        if not self._decoding and not self._prefilling:
+            return best
+        last = self._last_decode
+        step_time = 0.02 if last is None else self.cost_model.decode_step_time(*last)
+        self.sync_progress()
+        for slot in self._decoding.values():
+            request = slot.request
             predicted = request.predicted_output_tokens or request.output_tokens
-            remaining_tokens = max(1, predicted - request.tokens_generated)
-            est = remaining_tokens * self._last_decode_step_time
-            if request.remaining_prefill_tokens > 0:
-                est += self.cost_model.prefill_time(
-                    request.remaining_prefill_tokens, self.request_rank(request)
-                )
+            best = min(best, max(1, predicted - request.tokens_generated) * step_time)
+        for slot in self._prefilling:
+            request = slot.request
+            predicted = request.predicted_output_tokens or request.output_tokens
+            est = max(1, predicted - request.tokens_generated) * step_time
+            est += self.cost_model.prefill_time(request.remaining_prefill_tokens, slot.rank)
             best = min(best, est)
         return best
 
@@ -550,26 +709,18 @@ class ServingEngine:
         self._promote_ready()
 
         prefill_plan = self._build_prefill_plan()
-        for request, _tokens in prefill_plan:
-            if request.prefill_start_time is None:
-                request.prefill_start_time = now
-        decode_set = [r for r in self._running if r.remaining_prefill_tokens == 0]
+        for slot, _tokens in prefill_plan:
+            if slot.request.prefill_start_time is None:
+                slot.request.prefill_start_time = now
+        n_decode = len(self._decoding)
 
-        if not prefill_plan and not decode_set:
+        if not prefill_plan and not n_decode:
             return  # idle; an arrival or adapter-ready event will wake us
 
-        n_decode = len(decode_set)
-        ctx_tokens = sum(r.context_tokens for r in decode_set)
-        total_rank = 0
-        n_lora = 0
-        for r in decode_set:
-            rank = self.request_rank(r)
-            if rank is not None:
-                total_rank += rank
-                n_lora += 1
-        prefill_work = [
-            (tokens, self.request_rank(r)) for r, tokens in prefill_plan
-        ]
+        ctx_tokens = self._ctx_tokens
+        total_rank = self._total_rank
+        n_lora = self._n_lora
+        prefill_work = [(tokens, slot.rank) for slot, tokens in prefill_plan]
         dt = self.cost_model.iteration_time(
             prefill_work, n_decode, ctx_tokens, total_rank, n_lora
         )
@@ -580,81 +731,86 @@ class ServingEngine:
         if self._rate_multiplier != 1.0:  # degrade fault: serve slower
             dt /= self._rate_multiplier
         if n_decode:
-            self._last_decode_step_time = self.cost_model.decode_step_time(
-                n_decode, ctx_tokens, total_rank, n_lora
-            )
+            self._last_decode = (n_decode, ctx_tokens, total_rank, n_lora)
         if self.config.record_batch_occupancy:
-            self.batch_occupancy.append((now, len(self._running)))
+            self.batch_occupancy.append((now, len(self._prefilling) + n_decode))
         self.stats.iterations += 1
         self.stats.busy_time += dt
         self.stats.prefill_tokens += sum(t for _, t in prefill_plan)
         self.stats.decode_tokens += n_decode
         self._iteration_event = self.sim.schedule(
-            dt, self._end_iteration, prefill_plan, decode_set
+            dt, self._end_iteration, prefill_plan
         )
 
-    def _build_prefill_plan(self) -> list[tuple[Request, int]]:
+    def _build_prefill_plan(self) -> list[tuple[_Slot, int]]:
         """Choose this iteration's prefill work, in batch-admission order.
 
         With ``chunk_size`` set, requests are split into chunks under that
         budget (chunked prefill).  Otherwise whole requests are planned under
         ``prefill_token_budget``; the first request that does not fit stops
         the scan (strict order — admission order is the priority order), and
-        an oversized request is granted a solo iteration.
+        an oversized request is granted a solo iteration.  Either way the
+        plan is a prefix of ``_prefilling`` and only its last entry can be
+        left unfinished.
         """
         chunked = self.config.chunk_size is not None
         budget = self.config.chunk_size if chunked else self.config.prefill_token_budget
-        plan: list[tuple[Request, int]] = []
-        for request in self._running:
-            remaining = request.remaining_prefill_tokens
-            if remaining <= 0:
-                continue
+        plan: list[tuple[_Slot, int]] = []
+        for slot in self._prefilling:
+            remaining = slot.request.remaining_prefill_tokens
             if chunked:
                 if budget <= 0:
                     break
                 take = min(budget, remaining)
-                plan.append((request, take))
+                plan.append((slot, take))
                 budget -= take
             else:
                 if remaining <= budget:
-                    plan.append((request, remaining))
+                    plan.append((slot, remaining))
                     budget -= remaining
                 elif not plan:
-                    plan.append((request, remaining))  # oversized: run alone
+                    plan.append((slot, remaining))  # oversized: run alone
                     budget = 0
                     break
                 else:
                     break
         return plan
 
-    def _end_iteration(self, prefill_plan: list, decode_set: list) -> None:
+    def _end_iteration(self, prefill_plan: list) -> None:
         self._iteration_event = None
         now = self.sim.now
+        step = self._step_base + len(self._steps)
+        self._steps.append(now)
+        self._ctx_tokens += len(self._decoding)  # one token per decoder
         finished: list[Request] = []
-        for request, tokens in prefill_plan:
+        prefilled = 0
+        for slot, tokens in prefill_plan:
+            request = slot.request
+            if request.state is not RequestState.PREFILL:
+                continue  # squashed while the iteration was in flight
             request.prefill_done_tokens += tokens
-            if request.remaining_prefill_tokens == 0:
-                request.tokens_generated = 1
-                request.first_token_time = now
+            if request.prefill_done_tokens < request.input_tokens:
+                continue
+            prefilled += 1
+            request.tokens_generated = 1
+            request.first_token_time = now
+            request.state = RequestState.DECODE
+            if request.output_tokens == 1:
                 request.token_times.append(now)
-                request.state = RequestState.DECODE
-                if request.output_tokens == 1:
-                    finished.append(request)
-        for request in decode_set:
-            request.tokens_generated += 1
-            request.token_times.append(now)
-            if request.tokens_generated >= request.output_tokens:
                 finished.append(request)
-        if finished:
-            for request in finished:
-                self._finish(request, now)
-            # One rebuild instead of a per-request ``list.remove`` scan: a
-            # full batch finishing together used to cost O(batch^2).  Batch
-            # order of the survivors is preserved.
-            self._running = [
-                r for r in self._running
-                if r.state is not RequestState.FINISHED
-            ]
+            else:
+                self._enter_decode(slot, step)
+        if prefilled:  # the completed requests head the prefill list
+            del self._prefilling[:prefilled]
+        due = self._finishing.pop(step, None)
+        if due is not None:
+            for slot in due.values():
+                self._leave_decode(slot)
+                finished.append(slot.request)
+        for request in finished:
+            self._finish(request, now)
+        if len(self._steps) >= self._trim_at:
+            self._trim_steps()
         # Token loads moved (prefill progress, decode steps, finish removals):
         # refresh load listeners *before* the finish hooks below, whose queue
         # drain may route new work based on this engine's load.
@@ -662,9 +818,7 @@ class ServingEngine:
             self._notify_load_change()
         # Fire finish hooks only after every finish of this iteration is
         # finalized: a hook may submit new work (cluster queue drain), which
-        # kicks a fresh iteration — doing that mid-loop would let the new
-        # iteration capture requests that are finished but not yet removed
-        # from the batch, double-finishing them.
+        # kicks a fresh iteration that must see the batch without them.
         for request in finished:
             for callback in self._finish_callbacks:
                 callback(request)
@@ -673,9 +827,20 @@ class ServingEngine:
         if self._load_callbacks:  # the new iteration may have squashed work
             self._notify_load_change()
 
+    def _trim_steps(self) -> None:
+        """Drop the step-log entries no decoding request can still need:
+        those before the oldest decoder's first token (the oldest decoder
+        is the first in ``_decoding``, which is in first-token order)."""
+        oldest = self._step_base + len(self._steps)
+        for slot in self._decoding.values():
+            oldest = slot.first_step
+            break
+        del self._steps[:oldest - self._step_base]
+        self._step_base = oldest
+        self._trim_at = max(_STEP_LOG_TRIM, 2 * len(self._steps))
+
     def _finish(self, request: Request, now: float) -> None:
-        """Finalize one completed request.  The caller removes it from
-        ``_running`` (batched, one pass for the whole iteration)."""
+        """Finalize one completed request (already out of the batch)."""
         request.state = RequestState.FINISHED
         request.finish_time = now
         self.gpu.release("kv", request.kv_reserved_bytes)

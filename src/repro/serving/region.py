@@ -375,6 +375,9 @@ class ServingRegion:
             if system.fault_injector is not None:
                 system.fault_injector.start(until=until)
         self.sim.run(until=horizon)
+        for system in self.systems:
+            for engine in system.engines:
+                engine.sync_progress()
 
     def all_requests(self) -> list[Request]:
         """Every arrival across every shard (dispatched, still queued, or

@@ -533,6 +533,8 @@ class MultiReplicaSystem:
             self.fault_injector.start(
                 until=horizon if horizon is not None else last_arrival)
         self.sim.run(until=horizon)
+        for engine in self.engines:
+            engine.sync_progress()
 
     def all_requests(self) -> list[Request]:
         """Every arrival: dispatched to an engine, still in a cluster queue

@@ -47,6 +47,13 @@ class Request:
             unchanged against class-blind policies.
         predicted_output_tokens: The proxy predictor's estimate, filled in at
             submission time.
+
+    While a request decodes, its engine does not write ``tokens_generated``
+    and ``token_times`` on every step; it fills them from its step log.
+    They are current after any engine method that reads them
+    (``in_flight_token_load``, ``estimate_earliest_release``, ``squash``,
+    ``fail``), after ``sync_progress`` or ``run_trace`` returns, and always
+    once the request has finished, been rolled back or been lost.
     """
 
     request_id: int
