@@ -55,7 +55,7 @@ class ChameleonCacheManager(AdapterManagerBase):
         self.gpu.move("adapter", "adapter_cache", entry.size_bytes)
 
     def _eviction_order(self, candidates, now: float):
-        return self.policy.order(list(candidates), now)
+        return self.policy.order(candidates, now)
 
     def _on_evicted(self, entry: AdapterEntry) -> None:
         self.policy.on_evict(entry)

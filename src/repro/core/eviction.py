@@ -1,7 +1,9 @@
 """Adapter-cache eviction policies (§4.2.2 and the §5.3.3 comparison).
 
 All policies produce an eviction *order* over the refcount-zero candidates;
-the cache manager evicts from the front until enough bytes are free.
+the cache manager evicts from the front until enough bytes are free.  Every
+order is total (ties go to the lower adapter id), so it does not depend on
+the order the candidates arrive in.
 
 * **Chameleon** — compound score ``F*Frequency + R*Recency + S*Size`` with the
   paper's profiled weights F=0.45, R=0.10, S=0.45; the lowest score is evicted
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 #: Paper §4.2.2: profiled weighting coefficients.
@@ -59,22 +62,25 @@ class ChameleonScorePolicy(EvictionPolicy):
     recency_tau: float = RECENCY_TAU
     name: str = "chameleon"
 
-    def score(self, entry, now: float, max_freq: float, max_size: float) -> float:
-        freq = entry.decayed_frequency(now) / max_freq if max_freq > 0 else 0.0
-        age = max(0.0, now - entry.last_used)
-        recency = math.exp(-age / self.recency_tau)
-        size = entry.size_bytes / max_size if max_size > 0 else 0.0
-        return self.f_weight * freq + self.r_weight * recency + self.s_weight * size
-
     def order(self, candidates: list, now: float) -> list:
         if not candidates:
             return []
-        max_freq = max(e.decayed_frequency(now) for e in candidates)
+        # One pass: each candidate's decayed frequency is computed once and
+        # read by both the max and its score.
+        freqs = [e.decayed_frequency(now) for e in candidates]
+        max_freq = max(freqs)
         max_size = max(e.size_bytes for e in candidates)
-        return sorted(
-            candidates,
-            key=lambda e: (self.score(e, now, max_freq, max_size), e.adapter_id),
-        )
+        f_weight, r_weight, s_weight = self.f_weight, self.r_weight, self.s_weight
+        tau = self.recency_tau
+        exp = math.exp
+        keys = [
+            (f_weight * (freq / max_freq if max_freq > 0 else 0.0)
+             + r_weight * exp(-max(0.0, now - e.last_used) / tau)
+             + s_weight * (e.size_bytes / max_size if max_size > 0 else 0.0),
+             e.adapter_id)
+            for e, freq in zip(candidates, freqs)
+        ]
+        return [e for _, e in sorted(zip(keys, candidates), key=itemgetter(0))]
 
 
 class FairSharePolicy(ChameleonScorePolicy):

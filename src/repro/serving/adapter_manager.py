@@ -12,6 +12,13 @@ adapter goes idle and in the eviction order:
 * :class:`repro.core.cache.ChameleonCacheManager` — keeps idle adapters in a
   dynamically-sized cache carved out of idle GPU memory, with a cost-aware
   eviction policy (§4.2).
+
+Idle-set invariant: ``_idle`` holds exactly the entries that are
+``RESIDENT`` with refcount zero (the eviction candidates), keyed by adapter
+id.  It is updated where those two fields change — ``acquire`` from
+refcount zero, ``release`` to refcount zero, a load completing with no
+user, an eviction, and the S-LoRA discard — so an eviction round costs
+O(idle candidates) and never O(registered adapters).
 """
 
 from __future__ import annotations
@@ -107,6 +114,8 @@ class AdapterManagerBase:
             for a in registry
         }
         self.stats = AdapterManagerStats()
+        #: Resident, refcount-zero entries (see the module docstring).
+        self._idle: dict[int, AdapterEntry] = {}
         self._queued_needed: set[int] = set()
         self._ready_callbacks: list[Callable[[int], None]] = []
 
@@ -129,11 +138,9 @@ class AdapterManagerBase:
         return self.gpu.used("adapter") + self.gpu.used("adapter_cache")
 
     def idle_resident_ids(self) -> list[int]:
-        """Resident adapters with no active users (eviction candidates)."""
-        return [
-            e.adapter_id for e in self.entries.values()
-            if e.state is AdapterState.RESIDENT and e.refcount == 0
-        ]
+        """Resident adapters with no active users (eviction candidates),
+        in ascending id order."""
+        return sorted(self._idle)
 
     def on_ready(self, callback: Callable[[int], None]) -> None:
         """Register an engine hook fired when an adapter load completes."""
@@ -183,6 +190,7 @@ class AdapterManagerBase:
             self.stats.hits += 1
             if entry.refcount == 0:
                 # Idle cached copy becomes in-use: accounting moves only.
+                del self._idle[adapter_id]
                 self.gpu.move("adapter_cache", "adapter", entry.size_bytes)
             entry.refcount += 1
             return AdapterState.RESIDENT
@@ -202,6 +210,7 @@ class AdapterManagerBase:
             raise RuntimeError(f"release of unpinned adapter {adapter_id}")
         entry.refcount -= 1
         if entry.refcount == 0 and entry.state is AdapterState.RESIDENT:
+            self._idle[adapter_id] = entry
             self._handle_idle(entry)
 
     # ------------------------------------------------------------------ #
@@ -225,12 +234,12 @@ class AdapterManagerBase:
             return True
         now = self.sim.now
         exclude = exclude or set()
+        queued = self._queued_needed
         tiers: list[list[AdapterEntry]] = [[], []]
-        for aid in self.idle_resident_ids():
+        for aid, entry in self._idle.items():
             if aid in exclude:
                 continue
-            entry = self.entries[aid]
-            tiers[0 if aid not in self._queued_needed else 1].append(entry)
+            tiers[1 if aid in queued else 0].append(entry)
         tier_list = tiers[:1] if spare_queued else tiers
         for tier in tier_list:
             for entry in self._eviction_order(tier, now):
@@ -238,14 +247,6 @@ class AdapterManagerBase:
                     return True
                 self._evict(entry)
         return self.gpu.free_bytes >= needed_bytes
-
-    def evictable_bytes(self, include_queued: bool = True) -> int:
-        total = 0
-        for aid in self.idle_resident_ids():
-            if not include_queued and aid in self._queued_needed:
-                continue
-            total += self.entries[aid].size_bytes
-        return total
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -273,6 +274,7 @@ class AdapterManagerBase:
         entry.state = AdapterState.RESIDENT
         entry.transfer = None
         if entry.refcount == 0:
+            self._idle[entry.adapter_id] = entry
             self._handle_idle(entry)
         for callback in self._ready_callbacks:
             callback(entry.adapter_id)
@@ -280,6 +282,7 @@ class AdapterManagerBase:
     def _evict(self, entry: AdapterEntry) -> None:
         if entry.refcount != 0 or entry.state is not AdapterState.RESIDENT:
             raise RuntimeError(f"cannot evict pinned/non-resident adapter {entry.adapter_id}")
+        del self._idle[entry.adapter_id]
         self.gpu.release("adapter_cache", entry.size_bytes)
         entry.state = AdapterState.MISSING
         self.stats.evictions += 1
@@ -288,11 +291,13 @@ class AdapterManagerBase:
 
     # -- subclass hooks -------------------------------------------------- #
     def _handle_idle(self, entry: AdapterEntry) -> None:
-        """Called when a resident adapter's refcount drops to zero."""
+        """Called when a resident adapter's refcount drops to zero (it has
+        just joined the idle set)."""
         raise NotImplementedError
 
     def _eviction_order(self, candidates: list[AdapterEntry], now: float) -> list[AdapterEntry]:
-        """Order eviction candidates, first-to-evict first."""
+        """Order eviction candidates, first-to-evict first: a total order
+        that does not depend on the order of ``candidates``."""
         raise NotImplementedError
 
     def _on_evicted(self, entry: AdapterEntry) -> None:
@@ -311,8 +316,9 @@ class SloraAdapterManager(AdapterManagerBase):
         if entry.adapter_id in self._queued_needed:
             self.gpu.move("adapter", "adapter_cache", entry.size_bytes)
             return
+        del self._idle[entry.adapter_id]
         self.gpu.release("adapter", entry.size_bytes)
         entry.state = AdapterState.MISSING
 
     def _eviction_order(self, candidates: list[AdapterEntry], now: float) -> list[AdapterEntry]:
-        return sorted(candidates, key=lambda e: e.last_used)
+        return sorted(candidates, key=lambda e: (e.last_used, e.adapter_id))

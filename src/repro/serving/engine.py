@@ -191,6 +191,10 @@ class ServingEngine:
         self._step_base = 0
         self._trim_at = _STEP_LOG_TRIM
         self._pending_load: list[Request] = []
+        #: Set wherever this engine changes its scheduler's membership
+        #: (submit, admission, squash, drain); the queued-adapter set is
+        #: recomputed only when it is set.
+        self._queue_changed = True
         self._finish_callbacks: list = []
         self._load_callbacks: list = []
         self._iteration_event = None
@@ -336,6 +340,7 @@ class ServingEngine:
             self.predictor.annotate(request)
         self.all_requests.append(request)
         self.scheduler.enqueue(request, now)
+        self._queue_changed = True
         self.adapter_manager.on_request_arrival(request)
         self._kick()
         if self._load_callbacks:
@@ -411,6 +416,7 @@ class ServingEngine:
         if request.admit_time is None:
             request.admit_time = self.sim.now
         self.stats.admissions += 1
+        self._queue_changed = True  # the scheduler dequeues it on ADMITTED
 
         if adapter_id is not None:
             status = self.adapter_manager.acquire(adapter_id)
@@ -488,6 +494,7 @@ class ServingEngine:
         request.state = RequestState.QUEUED
         self.stats.squashes += 1
         self.scheduler.requeue_front(request, self.sim.now)
+        self._queue_changed = True
 
     def _rollback(self, request: Request) -> None:
         """Release a request's resources and wipe its serving progress."""
@@ -551,6 +558,7 @@ class ServingEngine:
             self._iteration_event = None
         self._pending_stall = 0.0
         queued = self.scheduler.drain()
+        self._queue_changed = True
         loading = list(self._pending_load)
         self._pending_load.clear()
         # Batch order: every decoding request precedes every prefilling one.
@@ -610,6 +618,7 @@ class ServingEngine:
         make its queued work wait out the drain.
         """
         queued = self.scheduler.drain()
+        self._queue_changed = True
         loading = list(self._pending_load)
         self._pending_load.clear()
         unstarted = []
@@ -703,7 +712,9 @@ class ServingEngine:
             return
         now = self.sim.now
         self.scheduler.on_schedule(now)
-        self.adapter_manager.set_queued_needed(self.scheduler.queued_adapter_ids())
+        if self._queue_changed:
+            self._queue_changed = False
+            self.adapter_manager.set_queued_needed(self.scheduler.queued_adapter_ids())
         ctx = AdmissionContext(self)
         self.scheduler.select(ctx)
         self._promote_ready()
