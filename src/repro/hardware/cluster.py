@@ -18,14 +18,12 @@ force-fed into an overloaded local queue.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware.dispatch_index import MinLoadHeap, SelectableBitset
 from repro.hardware.gpu import GpuDevice, GpuSpec
 from repro.hardware.pcie import PcieLink, Transfer
 
@@ -191,6 +189,26 @@ class DataParallelCluster:
     pull from the queue as finish events free batch slots, and the time each
     request spent waiting is stamped on ``request.dispatch_queue_delay``.
 
+    **Load counters (the engine contract).**  The dispatcher never walks
+    engine state to route.  It keeps one in-flight counter per engine and
+    reads each engine at three moments only:
+
+    * at registration, ``in_flight_count()`` (0 if the engine has none)
+      seeds the counter and ``config.max_batch_size`` (unbounded if the
+      engine has none) fixes the batch cap that defines saturation;
+    * after that the counter is +1 on every submit and -1 on every
+      ``on_finish`` callback, so an engine must fire that hook once per
+      completed request and must not shed in-flight work on its own;
+    * after ``fail`` and ``evacuate_unstarted`` — bulk moves that bypass
+      submit and finish — ``in_flight_count()`` is re-read.
+
+    Saturation is ``counter >= batch cap``.  The one live probe is
+    ``in_flight_token_load()``, read per candidate by the token-weighted
+    policy, since token loads drift without any dispatcher-visible event.
+    Routing is a scan over the eligible replicas; a
+    :class:`~repro.serving.region.ServingRegion` bounds its width by
+    sharding the fleet across dispatchers.
+
     **SLO admission** (``slo_policy``): whenever an arrival would have to
     queue, the dispatcher estimates its queue wait as ``(fifo position) x``
     an EWMA of cluster-wide inter-finish intervals (each finish event admits
@@ -273,7 +291,6 @@ class DataParallelCluster:
         rng: Optional[np.random.Generator] = None,
         capability_estimator=None,
         sim=None,
-        dispatch_index: bool = True,
         tenancy=None,
     ) -> None:
         if not engines:
@@ -359,64 +376,24 @@ class DataParallelCluster:
         self.lifecycle_log: list[tuple] = [
             (now, handle.index, handle.state.value) for handle in self.handles
         ]
-        # Incremental load bookkeeping: every dispatch probe used to walk the
-        # engine's running + queued sets (in_flight_count), and the
-        # saturation sweep repeated that per replica per drain step —
-        # O(fleet x batch) work per arrival that dominated the hot path.
-        # Instead, for engines whose probes we can prove are pure counters
-        # (an unmodified ServingEngine), maintain the in-flight count here:
-        # +1 on submit, -1 on finish, resynced from the engine on the rare
-        # bulk moves (crash evacuation, drain migration).  Engines with
-        # custom probe overrides (test fakes, experimental engines) keep the
-        # live-probe path, bit-for-bit.
+        # Cluster-side load counters, one per engine (the counter contract,
+        # see the class docstring): +1 on submit, -1 on each finish hook,
+        # re-read from the engine after a bulk move that bypasses both.
+        # Routing, the saturation filter and every fleet-wide load probe
+        # read these instead of walking engine state.
         self._inflight: list[int] = []
-        self._fast: list[bool] = []
         self._batch_cap: list[float] = []
         self._is_eligible: list[bool] = []
-        self._all_fast: bool = True  # every engine on the cached fast path
         self._uniform_batch_cap: bool = True  # one shared max_batch_size
-        # O(log n) dispatch indices over those counters (PR 8).  Which
-        # structures exist depends on the policy; whether they are *used*
-        # is decided per arrival by `_index_active`, which proves the pick
-        # bit-for-bit equal to the linear scan before trusting an index —
-        # otherwise `_submit` falls back to the scan, unchanged.  Pass
-        # ``dispatch_index=False`` to force the scan everywhere (the
-        # differential tests and the linear-scan benchmark baseline).
-        self._use_index = bool(dispatch_index)
-        self._count_heap: Optional[MinLoadHeap] = None
-        self._token_heap: Optional[MinLoadHeap] = None
-        self._unsat_bits: Optional[SelectableBitset] = None
-        self._heap_limit = 4 * len(self.engines) + 64
-        if self._use_index:
-            if policy in ("least_loaded", "adapter_affinity", "bounded_affinity"):
-                self._count_heap = MinLoadHeap()
-            if policy == "token_weighted":
-                self._token_heap = MinLoadHeap()
-            if policy in ("p2c", "round_robin"):
-                self._unsat_bits = SelectableBitset([])
-        self._token_load: list[float] = []   # mirrored in_flight_token_load
-        self._token_fast: list[bool] = []    # stock token probe (mirror safe)
-        self._all_token_fast: bool = True
-        self._total_inflight: int = 0        # fast engines, fleet-wide
-        self._sum_eligible_inflight: int = 0  # fast engines, eligible only
-        self._slow_all: list[int] = []       # engines needing live probes
-        #: adapter id -> ascending replica indices that (recently) held it
-        #: resident.  A lazily-pruned *superset*: entries are added on the
-        #: adapter manager's ready callback (the only transition into
-        #: RESIDENT) and dropped when a pick observes ``is_resident`` is no
-        #: longer true — eviction paths need no hook of their own.
-        self._resident: dict[int, list[int]] = {}
+        self._total_inflight: int = 0        # fleet-wide sum of _inflight
         for engine in self.engines:
             self._track_engine(engine)
         # Dispatch-eligibility cache: lifecycle and stall transitions are
-        # rare, so the `accepts_work` sweep is recomputed only then.  The
-        # saturation caches make `_all_saturated` O(1) on a stock fleet:
-        # `_n_fast_unsat` counts eligible fast engines with headroom and is
-        # maintained incrementally on submit/finish; `_slow_eligible` lists
-        # the eligible engines that still need a live probe (test fakes).
+        # rare, so the `accepts_work` sweep is recomputed only then.
+        # `_n_unsat` counts eligible engines with headroom and is maintained
+        # on submit/finish, which makes `_all_saturated` O(1).
         self._eligible: list[int] = []
-        self._slow_eligible: list[int] = []
-        self._n_fast_unsat: int = 0
+        self._n_unsat: int = 0
         #: Region-router hooks fired whenever a capacity-freeing event
         #: (finish, activation, stall end) leaves this cluster able to admit
         #: — the work-stealing trigger.  Empty for a standalone cluster, in
@@ -453,61 +430,23 @@ class DataParallelCluster:
     # ------------------------------------------------------------------ #
     # Incremental load bookkeeping (hot-path caches)
     # ------------------------------------------------------------------ #
-    def _track_engine(self, engine) -> None:
-        """Append load-cache slots for a (new) engine.
+    @staticmethod
+    def _read_in_flight(engine) -> int:
+        probe = getattr(engine, "in_flight_count", None)
+        return probe() if callable(probe) else 0
 
-        The cached-count fast path is only safe when the engine's load and
-        saturation probes are the stock ``ServingEngine`` counters — a
-        subclass or test fake overriding either gets live probes instead.
-        Lazy import: the hardware layer must not import the serving package
-        at module load (cycle).
-        """
-        from repro.serving.adapter_manager import AdapterState
-        from repro.serving.engine import ServingEngine
-        index = len(self._fast)
-        fast = (
-            isinstance(engine, ServingEngine)
-            and type(engine).in_flight_count is ServingEngine.in_flight_count
-            and type(engine).is_saturated is ServingEngine.is_saturated
-        )
-        self._fast.append(fast)
-        self._inflight.append(engine.in_flight_count() if fast else 0)
-        self._total_inflight += self._inflight[index]
-        self._batch_cap.append(
-            float(engine.config.max_batch_size) if fast else float("inf"))
+    def _track_engine(self, engine) -> None:
+        """Append load counters for a (new) engine: its current
+        ``in_flight_count()`` (0 without one) and its
+        ``config.max_batch_size`` (unbounded without one)."""
+        count = self._read_in_flight(engine)
+        self._inflight.append(count)
+        self._total_inflight += count
+        cap = getattr(getattr(engine, "config", None), "max_batch_size", None)
+        self._batch_cap.append(float("inf") if cap is None else float(cap))
         # Not dispatch-eligible until the next lifecycle refresh.
         self._is_eligible.append(False)
-        self._all_fast = fast and self._all_fast
         self._uniform_batch_cap = min(self._batch_cap) == max(self._batch_cap)
-        if not fast:
-            self._slow_all.append(index)
-        self._heap_limit = 4 * len(self._fast) + 64
-        # Token-load mirror: safe only when the probe is the stock
-        # ServingEngine method, so the engine's load-change notifications
-        # are guaranteed to cover every mutation the probe can observe.
-        token_fast = (
-            fast
-            and type(engine).in_flight_token_load
-            is ServingEngine.in_flight_token_load
-        )
-        self._token_fast.append(token_fast)
-        self._all_token_fast = token_fast and self._all_token_fast
-        if token_fast and self._token_heap is not None:
-            self._token_load.append(engine.in_flight_token_load())
-            engine.on_load_change(
-                lambda _i=index: self._on_token_load_change(_i))
-        else:
-            self._token_load.append(0.0)
-        # Residency index for the affinity policies: mirror every
-        # transition into RESIDENT (the ready callback is the only one).
-        if self._count_heap is not None and self.policy != "least_loaded":
-            manager = getattr(engine, "adapter_manager", None)
-            register = getattr(manager, "on_ready", None)
-            if callable(register):
-                register(lambda aid, _i=index: self._note_resident(_i, aid))
-                for aid, entry in getattr(manager, "entries", {}).items():
-                    if entry.state is AdapterState.RESIDENT:
-                        self._note_resident(index, aid)
 
     def _refresh_eligible(self) -> None:
         """Recompute the dispatch-eligibility caches (same order as the
@@ -515,24 +454,16 @@ class DataParallelCluster:
 
         Lifecycle and stall transitions are the only triggers, so this is
         also where every O(1) fleet counter (active/fleet/holding/failed,
-        the autoscaler's per-tick reads) and every dispatch index is
-        rebuilt from scratch — an O(n) sweep per *transition* instead of
-        per tick or per arrival."""
+        the autoscaler's per-tick reads) is rebuilt from scratch — an O(n)
+        sweep per *transition* instead of per tick or per arrival."""
         self._eligible = [h.index for h in self.handles if h.accepts_work]
         self._is_eligible = [False] * len(self.engines)
-        self._slow_eligible = []
         n_unsat = 0
-        sum_eligible = 0
         for idx in self._eligible:
             self._is_eligible[idx] = True
-            if self._fast[idx]:
-                sum_eligible += self._inflight[idx]
-                if self._inflight[idx] < self._batch_cap[idx]:
-                    n_unsat += 1
-            else:
-                self._slow_eligible.append(idx)
-        self._n_fast_unsat = n_unsat
-        self._sum_eligible_inflight = sum_eligible
+            if self._inflight[idx] < self._batch_cap[idx]:
+                n_unsat += 1
+        self._n_unsat = n_unsat
         # O(1) fleet-composition counters (ascending-index sweeps, same
         # membership as the per-call scans they replace).
         n_active = n_in_fleet = n_holding = n_failed = 0
@@ -556,47 +487,14 @@ class DataParallelCluster:
         self._n_failed = n_failed
         self._active_cache = active
         self._serving_cache = serving
-        # Rebuild the dispatch indices over the new membership.
-        self._heap_limit = 4 * len(self.engines) + 64
-        inflight = self._inflight
-        if self._count_heap is not None:
-            self._count_heap.rebuild(
-                (inflight[i], i) for i in self._eligible if self._fast[i])
-        if self._token_heap is not None:
-            token = self._token_load
-            for i in self._eligible:  # self-correcting: re-probe live
-                if self._token_fast[i]:
-                    token[i] = self.engines[i].in_flight_token_load()
-            self._token_heap.rebuild(
-                (token[i], i) for i in self._eligible if self._token_fast[i])
-        if self._unsat_bits is not None:
-            fast, cap = self._fast, self._batch_cap
-            self._unsat_bits = SelectableBitset(
-                self._is_eligible[i] and fast[i] and inflight[i] < cap[i]
-                for i in range(len(self.engines)))
-
-    def _count(self, idx: int) -> int:
-        """In-flight request count of engine ``idx`` (cached when safe;
-        0 for engines without a probe, like ``ReplicaHandle.in_flight``)."""
-        if self._fast[idx]:
-            return self._inflight[idx]
-        probe = getattr(self.engines[idx], "in_flight_count", None)
-        return probe() if callable(probe) else 0
-
-    def _saturated_at(self, idx: int) -> bool:
-        """Saturation probe of engine ``idx`` (cached when safe)."""
-        if self._fast[idx]:
-            return self._inflight[idx] >= self._batch_cap[idx]
-        return self._saturated(self.engines[idx])
 
     def _resync_load(self, idx: int) -> None:
         """Re-read engine ``idx``'s true in-flight count after a bulk move
         (crash evacuation, drain migration) that bypassed submit/finish."""
-        if self._fast[idx]:
-            stale = self._inflight[idx]
-            self._inflight[idx] = self.engines[idx].in_flight_count()
-            self._total_inflight += self._inflight[idx] - stale
-            self._refresh_eligible()  # the saturation count may have moved
+        count = self._read_in_flight(self.engines[idx])
+        self._total_inflight += count - self._inflight[idx]
+        self._inflight[idx] = count
+        self._refresh_eligible()  # the saturation count may have moved
 
     def _recompute_weights(self) -> None:
         """Refresh per-engine capability weights over the *active* set.
@@ -689,9 +587,9 @@ class DataParallelCluster:
         """True when an arrival offered right now would be submitted to an
         engine immediately (no queueing, no shed): some replica is eligible
         and, under backpressure, nothing is already waiting and not every
-        eligible replica is saturated.  O(1) on a stock fleet — the region
-        router calls this per arrival to decide spills, and the
-        work-stealing loop calls it per steal."""
+        eligible replica is saturated.  O(1) — the region router calls
+        this per arrival to decide spills, and the work-stealing loop
+        calls it per steal."""
         return self._has_available() and not (
             self.backpressure and (
                 self._queue or self._fair_backlog or self._all_saturated()))
@@ -755,48 +653,25 @@ class DataParallelCluster:
         # provisioning/warming replicas have not joined yet, draining ones
         # accept nothing new, stalled ones are mid-fault, and failed ones
         # are gone.
-        idx = self._pick_indexed(request) if self._index_active() else None
-        if idx is None:
-            candidates = self._eligible
-            if self.backpressure:
-                # Never force-feed a saturated engine while another has room
-                # — that is the exact failure mode the global queue exists to
-                # prevent (matters for routing policies that don't follow
-                # load).  Skip the filter when the caches prove every
-                # candidate has headroom (the common case on an unloaded
-                # stock fleet), or when it provably cannot change the pick:
-                # JSQ over a homogeneous fleet (shared batch cap, uniform
-                # capability) lands on an unsaturated engine by itself
-                # whenever one exists — the minimum count is below the
-                # shared cap.
-                if (self.policy == "least_loaded" and self._all_fast
-                        and self._uniform_batch_cap and self._uniform_caps):
-                    pass
-                elif self._n_fast_unsat != len(candidates) or self._slow_eligible:
-                    if self._all_fast:
-                        inflight, cap = self._inflight, self._batch_cap
-                        unsaturated = [
-                            i for i in candidates if inflight[i] < cap[i]
-                        ]
-                    else:
-                        unsaturated = [
-                            i for i in candidates if not self._saturated_at(i)
-                        ]
-                    if unsaturated:
-                        candidates = unsaturated
-            idx = self._pick(request, candidates)
+        candidates = self._eligible
+        # Under backpressure, never force-feed a saturated engine while
+        # another has room — that is the exact failure mode the global
+        # queue exists to prevent (matters for routing policies that don't
+        # follow load).  The filter is a no-op when every candidate or none
+        # has headroom, and JSQ over a homogeneous fleet (shared batch cap,
+        # uniform capability) lands on an unsaturated engine by itself
+        # whenever one exists — the minimum count is below the shared cap.
+        if (self.backpressure and 0 < self._n_unsat < len(candidates)
+                and not (self.policy == "least_loaded"
+                         and self._uniform_batch_cap and self._uniform_caps)):
+            inflight, cap = self._inflight, self._batch_cap
+            candidates = [i for i in candidates if inflight[i] < cap[i]]
+        idx = self._pick(request, candidates)
         self.engines[idx].submit(request)
         self._inflight[idx] += 1
-        if self._fast[idx]:
-            self._total_inflight += 1
-            if self._is_eligible[idx]:
-                self._sum_eligible_inflight += 1
-                if self._inflight[idx] == self._batch_cap[idx]:
-                    self._n_fast_unsat -= 1  # just became saturated
-                    if self._unsat_bits is not None:
-                        self._unsat_bits.set(idx, False)
-            if self._count_heap is not None:
-                self._push_count(idx)
+        self._total_inflight += 1
+        if self._is_eligible[idx] and self._inflight[idx] == self._batch_cap[idx]:
+            self._n_unsat -= 1  # just became saturated
         self.stats.dispatched += 1
         return idx
 
@@ -809,16 +684,10 @@ class DataParallelCluster:
                 self._metrics_ttft.observe(first - request.arrival_time)
         idx = handle.index
         self._inflight[idx] -= 1
-        if self._fast[idx]:
-            self._total_inflight -= 1
-            if self._is_eligible[idx]:
-                self._sum_eligible_inflight -= 1
-                if self._inflight[idx] == self._batch_cap[idx] - 1:
-                    self._n_fast_unsat += 1  # just regained headroom
-                    if self._unsat_bits is not None:
-                        self._unsat_bits.set(idx, True)
-            if self._count_heap is not None:
-                self._push_count(idx)
+        self._total_inflight -= 1
+        if self._is_eligible[idx] and \
+                self._inflight[idx] == self._batch_cap[idx] - 1:
+            self._n_unsat += 1  # just regained headroom
         if self._last_finish_time is None:
             self._last_finish_time = now
             self._finish_batch = 1
@@ -842,9 +711,9 @@ class DataParallelCluster:
             # Recompute weights only when a rate sample actually landed:
             # batched same-timestamp finishes just grow the pending batch.
             if self.capability_estimator.observe_finish(
-                    handle.index, now, idle=self._count(handle.index) == 0):
+                    idx, now, idle=self._inflight[idx] == 0):
                 self._recompute_weights()
-        if handle.is_draining and self._count(handle.index) == 0:
+        if handle.is_draining and self._inflight[idx] == 0:
             self._retire(handle)
         self._drain()
         self._notify_capacity()
@@ -1106,7 +975,7 @@ class DataParallelCluster:
         the borrow-from-idle predicate — past-quota admissions are free
         while it holds (in-quota arrivals still see shallow engines) and
         harmful once engines are deep.  Engines without a finite batch cap
-        (test fakes) are left out of both sums; an empty sum is slack.
+        are left out of both sums; an empty sum is slack.
         """
         used = 0.0
         cap = 0.0
@@ -1114,7 +983,7 @@ class DataParallelCluster:
             engine_cap = self._batch_cap[idx]
             if engine_cap == float("inf"):
                 continue
-            used += self._count(idx)
+            used += self._inflight[idx]
             cap += engine_cap
         return used * 2.0 < cap if cap else True
 
@@ -1140,22 +1009,9 @@ class DataParallelCluster:
     def _all_saturated(self) -> bool:
         """True when no dispatch-eligible replica can take a request right
         now (every eligible engine saturated, or none at all — everything
-        still provisioning, draining out, stalled or failed).  O(1) on a
-        stock fleet: the incremental headroom count answers directly; only
-        engines with overridden probes (test fakes) are probed live."""
-        if not self._eligible:
-            return True
-        if self._n_fast_unsat:
-            return False
-        for idx in self._slow_eligible:
-            if not self._saturated(self.engines[idx]):
-                return False
-        return True
-
-    @staticmethod
-    def _saturated(engine) -> bool:
-        checker = getattr(engine, "is_saturated", None)
-        return checker() if callable(checker) else False
+        still provisioning, draining out, stalled or failed).  O(1): the
+        headroom count covers exactly the eligible engines."""
+        return not self._n_unsat
 
     # ------------------------------------------------------------------ #
     # Replica lifecycle (elastic fleets)
@@ -1239,7 +1095,7 @@ class DataParallelCluster:
                 evacuated = evacuate()
                 self._resync_load(index)  # evacuation bypassed submit/finish
                 self._migrate(evacuated, index)
-        if self._count(index) == 0:
+        if self._inflight[index] == 0:
             self._retire(handle)
         return handle
 
@@ -1447,31 +1303,16 @@ class DataParallelCluster:
 
     def has_pending_work(self) -> bool:
         """True while any request is in flight on a live replica or waiting
-        in a cluster queue — the autoscaler's scale-in guard.  O(1) on a
-        stock fleet via the cluster-wide in-flight counter (retired replicas
-        drained to zero and failed ones were evacuated, so the fleet total
-        *is* the live total); only engines with overridden probes (test
-        fakes) are probed live."""
-        if self._total_inflight > 0 or self._queue or self._low_queue:
-            return True
-        for idx in self._slow_all:
-            handle = self.handles[idx]
-            if not (handle.is_retired or handle.is_failed) \
-                    and self._count(idx) > 0:
-                return True
-        return False
+        at the cluster, in any lane — the autoscaler's scale-in guard.
+        O(1): retired replicas drained to zero and failed ones were
+        resynced after evacuation, so the fleet-wide counter *is* the live
+        total."""
+        return self._total_inflight > 0 or self.queue_len() > 0
 
     def total_in_flight(self) -> int:
         """Requests currently in flight across every live replica — the
-        region router's spill-target load probe.  O(1) on a stock fleet via
-        the cluster-wide counter; only engines with overridden probes (test
-        fakes) are probed live."""
-        total = self._total_inflight
-        for idx in self._slow_all:
-            handle = self.handles[idx]
-            if not (handle.is_retired or handle.is_failed):
-                total += self._count(idx)
-        return total
+        region router's spill-target load probe (O(1))."""
+        return self._total_inflight
 
     # ------------------------------------------------------------------ #
     # Observability hooks (see repro.obs)
@@ -1532,7 +1373,7 @@ class DataParallelCluster:
     def _register_replica_gauge(self, index: int) -> None:
         self._metrics.gauge(
             f"{self._metrics_prefix}replica{index}_in_flight",
-            lambda idx=index: float(self._count(idx)))
+            lambda idx=index: float(self._inflight[idx]))
 
     def _hit_rate_metric(self) -> float:
         """Lookup-weighted aggregate adapter-cache hit rate (0.0 cold)."""
@@ -1662,208 +1503,7 @@ class DataParallelCluster:
             probe = getattr(self.engines[idx], "in_flight_token_load", None)
             if callable(probe):
                 return probe() / self._capability[idx]
-        if self._fast[idx]:
-            return self._inflight[idx] / self._capability[idx]
-        return self.engines[idx].in_flight_count() / self._capability[idx]
-
-    # ------------------------------------------------------------------ #
-    # O(log n) dispatch indices
-    # ------------------------------------------------------------------ #
-    def _index_active(self) -> bool:
-        """True when the per-policy dispatch index provably reproduces the
-        linear scan bit-for-bit, so `_submit` may use it.
-
-        The common requirement is an all-stock fleet (``_all_fast``): the
-        indices are built over the cached counters, which only mirror
-        unmodified ``ServingEngine`` probes.  Load-comparing policies
-        additionally need uniform capability weights and a shared batch cap
-        — dividing a counter by exactly 1.0 is the identity, so cached
-        integer loads, their sums and the heap tie-break ``(load, index)``
-        reproduce the scan's floats and first-minimum ties exactly; any
-        heterogeneity (mixed specs, estimator-driven weights, mixed batch
-        caps) falls back to the scan.  Token-weighted and the affinity
-        policies also need backpressure, which bounds every count at its
-        batch cap — the invariant behind the saturated-sum shortcut and
-        the discard-and-repush heap maintenance.
-        """
-        if not (self._use_index and self._all_fast):
-            return False
-        policy = self.policy
-        if policy == "round_robin" or policy == "p2c":
-            return True
-        if not (self._uniform_caps and self._uniform_batch_cap):
-            return False
-        if policy == "least_loaded":
-            return True
-        if policy == "token_weighted":
-            return self.backpressure and self._all_token_fast
-        return self.backpressure  # adapter_affinity / bounded_affinity
-
-    def _pick_indexed(self, request) -> Optional[int]:
-        """Index-backed replica pick, bit-for-bit equal to
-        ``_pick(request, <filtered candidates>)`` under the `_index_active`
-        preconditions.  Returns ``None`` to fall back to the scan (only
-        reachable defensively — e.g. an empty index).
-
-        ``filtered`` mirrors `_submit`'s saturation filter without
-        materializing the candidate list: the filter fires iff backpressure
-        is on and *some but not all* eligible replicas have headroom, and
-        the early single-candidate return uses the matching count.
-        """
-        eligible = self._eligible
-        n_eligible = len(eligible)
-        if not n_eligible:
-            return None
-        policy = self.policy
-        n_unsat = self._n_fast_unsat
-        filtered = self.backpressure and 0 < n_unsat < n_eligible
-        inflight = self._inflight
-        if policy == "least_loaded":
-            # The scan never filters here (the minimum count is below the
-            # shared cap whenever any replica has headroom).
-            assert self._count_heap is not None
-            return self._count_heap.peek(inflight, self._is_eligible)
-        if policy == "round_robin":
-            assert self._unsat_bits is not None
-            if filtered:
-                if n_unsat == 1:  # scan's len==1 return skips the rr walk
-                    return self._unsat_bits.kth(0)
-            elif n_eligible == 1:
-                return eligible[0]
-            n = len(self.engines)
-            cap = self._batch_cap
-            is_eligible = self._is_eligible
-            for _ in range(n):
-                idx = self._rr_next
-                self._rr_next = (self._rr_next + 1) % n
-                if is_eligible[idx] and (
-                        not filtered or inflight[idx] < cap[idx]):
-                    return idx
-            return None  # unreachable: some replica is eligible
-        if policy == "p2c":
-            assert self._unsat_bits is not None
-            if filtered:
-                if n_unsat == 1:  # scan's len==1 return consumes no RNG
-                    return self._unsat_bits.kth(0)
-                a, b = self._rng.choice(n_unsat, size=2, replace=False)
-                i = self._unsat_bits.kth(int(a))
-                j = self._unsat_bits.kth(int(b))
-            else:
-                if n_eligible == 1:
-                    return eligible[0]
-                a, b = self._rng.choice(n_eligible, size=2, replace=False)
-                i, j = eligible[int(a)], eligible[int(b)]
-            load_i, load_j = self._load(i), self._load(j)
-            if load_i == load_j:
-                return min(i, j)
-            return i if load_i < load_j else j
-        if policy == "token_weighted":
-            assert self._token_heap is not None
-            if filtered:
-                return self._token_heap.peek_unsaturated(
-                    self._token_load, self._is_eligible,
-                    inflight, self._batch_cap)
-            return self._token_heap.peek(self._token_load, self._is_eligible)
-        # adapter_affinity / bounded_affinity
-        count_heap = self._count_heap
-        assert count_heap is not None
-        if filtered:
-            if n_unsat == 1:  # the one unsaturated replica is the count-min
-                return count_heap.peek(inflight, self._is_eligible)
-        elif n_eligible == 1:
-            return eligible[0]
-        adapter_id = request.adapter_id
-        if adapter_id is not None:
-            resident = self._resident.get(adapter_id)
-            if resident:
-                cap = self._batch_cap
-                is_eligible = self._is_eligible
-                best = -1
-                best_load = 0
-                evicted: list[int] = []
-                for i in resident:  # ascending: first minimum wins ties
-                    if not is_eligible[i]:
-                        continue  # may rejoin later; keep the entry
-                    if not self.engines[i].adapter_manager.is_resident(
-                            adapter_id):
-                        evicted.append(i)  # stale superset entry
-                        continue
-                    if filtered and inflight[i] >= cap[i]:
-                        continue
-                    if best < 0 or inflight[i] < best_load:
-                        best, best_load = i, inflight[i]
-                for i in evicted:
-                    resident.remove(i)
-                if not resident:
-                    del self._resident[adapter_id]
-                if best >= 0:
-                    if self.policy == "adapter_affinity":
-                        return best
-                    # Bounded affinity: the scan's mean load over the
-                    # candidates, from the integer sums — with backpressure
-                    # every saturated count equals the shared cap, so the
-                    # unsaturated sum is the eligible sum minus the
-                    # saturated mass.
-                    if filtered:
-                        shared_cap = cap[eligible[0]]
-                        total = self._sum_eligible_inflight - \
-                            (n_eligible - n_unsat) * shared_cap
-                        denom = n_unsat
-                    else:
-                        total = self._sum_eligible_inflight
-                        denom = n_eligible
-                    bound = self.spill_factor * max(1.0, total / denom)
-                    if best_load <= bound:
-                        return best
-                    spill_to = count_heap.peek(inflight, self._is_eligible)
-                    if spill_to is None:
-                        return None  # fall back before mutating stats
-                    self.stats.spills += 1  # affine replica too hot
-                    return spill_to
-        return count_heap.peek(inflight, self._is_eligible)
-
-    def _push_count(self, idx: int) -> None:
-        """Record engine ``idx``'s new request count in the count heap,
-        compacting (rebuild over the eligible set) once lazy deletions have
-        let the heap grow past ~4x the fleet — O(1) amortized."""
-        heap = self._count_heap
-        assert heap is not None
-        if len(heap) >= self._heap_limit:
-            inflight, fast = self._inflight, self._fast
-            heap.rebuild(
-                (inflight[i], i) for i in self._eligible if fast[i])
-        else:
-            heap.push(self._inflight[idx], idx)
-
-    def _on_token_load_change(self, idx: int) -> None:
-        """Engine load-change hook: mirror the token-load probe and index
-        the new value (token-weighted policy only)."""
-        load = self.engines[idx].in_flight_token_load()
-        token = self._token_load
-        if load == token[idx]:
-            return
-        token[idx] = load
-        if not self._is_eligible[idx]:
-            return  # `_refresh_eligible` re-indexes it if it rejoins
-        heap = self._token_heap
-        assert heap is not None
-        if len(heap) >= self._heap_limit:
-            token_fast = self._token_fast
-            heap.rebuild(
-                (token[i], i) for i in self._eligible if token_fast[i])
-        else:
-            heap.push(load, idx)
-
-    def _note_resident(self, idx: int, adapter_id: int) -> None:
-        """Adapter-manager ready hook: adapter ``adapter_id`` just became
-        resident on engine ``idx`` (affinity policies only)."""
-        entries = self._resident.get(adapter_id)
-        if entries is None:
-            self._resident[adapter_id] = [idx]
-            return
-        pos = bisect_left(entries, idx)
-        if pos == len(entries) or entries[pos] != idx:
-            entries.insert(pos, idx)
+        return self._inflight[idx] / self._capability[idx]
 
     def _pick(self, request, candidates: Optional[list] = None) -> int:
         """Pick an engine index among ``candidates`` (default: active set)."""
@@ -1874,10 +1514,10 @@ class DataParallelCluster:
             raise RuntimeError("no dispatch-eligible replica")
         if len(candidates) == 1:
             return candidates[0]
-        if self.policy == "least_loaded" and self._all_fast:
-            # JSQ over cached counters, no dict churn.  ``min`` keeps the
-            # first minimum in candidate order — the same tie-break as the
-            # loads-dict path below.
+        if self.policy == "least_loaded":
+            # JSQ without dict churn.  ``min`` keeps the first minimum in
+            # candidate order — the same tie-break as the loads-dict path
+            # below.
             if self._uniform_caps:
                 return min(candidates, key=self._inflight.__getitem__)
             inflight, capability = self._inflight, self._capability
@@ -1895,8 +1535,7 @@ class DataParallelCluster:
                 candidates[int(k)]
                 for k in self._rng.choice(len(candidates), size=2, replace=False)
             )
-            # One probe per candidate: load probes walk the engine's running
-            # and queued sets, so re-probing per comparison is wasted work.
+            # One probe per candidate (token loads are live probes).
             load_i, load_j = self._load(i), self._load(j)
             if load_i == load_j:
                 return min(i, j)

@@ -196,7 +196,6 @@ class ServingEngine:
         #: recomputed only when it is set.
         self._queue_changed = True
         self._finish_callbacks: list = []
-        self._load_callbacks: list = []
         self._iteration_event = None
         #: Decode aggregates of the last iteration that decoded; release
         #: estimates price a step from them (0.02 s before any decode).
@@ -302,25 +301,6 @@ class ServingEngine:
         """
         self._finish_callbacks.append(callback)
 
-    def on_load_change(self, callback) -> None:
-        """Register a hook fired whenever this engine's in-flight token
-        load may have changed (submission, iteration progress, adapter
-        promotion, squash, crash evacuation).
-
-        The token-weighted dispatch index uses this to mirror
-        :meth:`in_flight_token_load` into a cluster-side cache: token loads
-        drift as tokens generate, so without a change notification every
-        dispatch probe would have to walk the batch live.  The hook fires
-        *after* the engine's state is consistent — a callback reading
-        :meth:`in_flight_token_load` sees the post-event value.  Engines
-        with no registered callback pay one predicate check per event.
-        """
-        self._load_callbacks.append(callback)
-
-    def _notify_load_change(self) -> None:
-        for callback in self._load_callbacks:
-            callback()
-
     def request_rank(self, request: Request) -> Optional[int]:
         if request.adapter_id is None:
             return None
@@ -343,8 +323,6 @@ class ServingEngine:
         self._queue_changed = True
         self.adapter_manager.on_request_arrival(request)
         self._kick()
-        if self._load_callbacks:
-            self._notify_load_change()
 
     def run_trace(self, requests: Iterable[Request], horizon: Optional[float] = None) -> None:
         """Schedule every request's arrival and run the simulation.
@@ -592,8 +570,6 @@ class ServingEngine:
         self._forget(recoverable)
         for request in lost:
             request.lost = True
-        if self._load_callbacks:
-            self._notify_load_change()
         return recoverable, lost
 
     def _forget(self, requests: list) -> None:
@@ -637,8 +613,6 @@ class ServingEngine:
             request.enqueue_time = None
             request.admit_time = None
         self._forget(evacuated)
-        if self._load_callbacks:
-            self._notify_load_change()
         return evacuated
 
     # ------------------------------------------------------------------ #
@@ -691,8 +665,6 @@ class ServingEngine:
             self._pending_stall += size / stall_bw
         self._promote_ready()
         self._kick()
-        if self._load_callbacks:
-            self._notify_load_change()
 
     def _promote_ready(self) -> None:
         still_waiting = []
@@ -822,11 +794,6 @@ class ServingEngine:
             self._finish(request, now)
         if len(self._steps) >= self._trim_at:
             self._trim_steps()
-        # Token loads moved (prefill progress, decode steps, finish removals):
-        # refresh load listeners *before* the finish hooks below, whose queue
-        # drain may route new work based on this engine's load.
-        if self._load_callbacks:
-            self._notify_load_change()
         # Fire finish hooks only after every finish of this iteration is
         # finalized: a hook may submit new work (cluster queue drain), which
         # kicks a fresh iteration that must see the batch without them.
@@ -835,8 +802,6 @@ class ServingEngine:
                 callback(request)
         self.gpu.maybe_sample(now)
         self._start_iteration()
-        if self._load_callbacks:  # the new iteration may have squashed work
-            self._notify_load_change()
 
     def _trim_steps(self) -> None:
         """Drop the step-log entries no decoding request can still need:

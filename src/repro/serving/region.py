@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.metrics.summary import RunSummary, summarize_run
-from repro.serving.replica import MultiReplicaSystem
+from repro.serving.replica import MultiReplicaSystem, tenant_block
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request, RequestState
 
@@ -159,10 +159,9 @@ class ServingRegion:
     """D dispatcher shards on one clock, behind a thin region router.
 
     Build with :meth:`build`; drive with :meth:`run_trace` (or schedule
-    :meth:`dispatch` per arrival on the shared clock).  The per-request
-    admission path stays O(1) in the fleet: the router hashes to a home
-    shard, and each shard's dispatcher works its own O(log n) indices over
-    its own slice of the fleet.
+    :meth:`dispatch` per arrival on the shared clock).  The router hashes
+    each arrival to a home shard, whose dispatcher scans only its own
+    slice of the fleet: sharding is what bounds the routing fan-out.
     """
 
     def __init__(self, systems: list[MultiReplicaSystem],
@@ -421,50 +420,8 @@ class ServingRegion:
         )
         if any(system.cluster.tenancy is not None
                for system in self.systems):
-            self._tenant_block(summary.extra, requests,
-                               kwargs.get("warmup", 0.0))
+            tenant_block(summary.extra, requests, kwargs.get("warmup", 0.0),
+                         self.systems[0].slo_policy,
+                         [system.cluster.stats.tenants
+                          for system in self.systems])
         return summary
-
-    def _tenant_block(self, extra: dict, requests, warmup: float) -> None:
-        """Region-wide per-tenant fairness accounting (same keys as the
-        single-system block in ``MultiReplicaSystem._tenant_block``, with
-        every tenant's per-shard ledgers summed)."""
-        from repro.metrics.summary import jain_fairness_index, tenant_breakdown
-
-        slo_policy = self.systems[0].slo_policy
-        attained = slo_policy.attained if slo_policy is not None else None
-        breakdown = tenant_breakdown(requests, warmup=warmup,
-                                     attained=attained)
-        tenant_ids = breakdown["tenant_ids"]
-        throttles, borrows, virtual_times, weights = [], [], [], []
-        for tenant in tenant_ids:
-            throttled = borrowed = 0
-            virtual_time, weight = 0.0, 1.0
-            for system in self.systems:
-                book = system.cluster.stats.tenants.get(tenant)
-                if book is not None:
-                    throttled += book.throttled
-                    borrowed += book.borrowed
-                    virtual_time += book.virtual_time
-                    weight = book.weight  # identical on every shard
-            throttles.append(throttled)
-            borrows.append(borrowed)
-            virtual_times.append(virtual_time)
-            weights.append(weight)
-        attainment = [a for a in breakdown["attainment"] if a == a]
-        extra.update(
-            tenant_ids=tenant_ids,
-            tenant_arrivals=breakdown["arrivals"],
-            tenant_completed=breakdown["completed"],
-            tenant_shed=breakdown["shed"],
-            tenant_lost=breakdown["lost"],
-            tenant_attainment=breakdown["attainment"],
-            tenant_attainment_spread=(
-                max(attainment) - min(attainment) if attainment
-                else float("nan")),
-            tenant_fairness_jain=jain_fairness_index(attainment),
-            tenant_quota_throttles=throttles,
-            tenant_quota_borrows=borrows,
-            tenant_virtual_time=virtual_times,
-            tenant_weights=weights,
-        )

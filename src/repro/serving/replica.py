@@ -303,7 +303,6 @@ class MultiReplicaSystem:
         mttr: Optional[float] = None,
         fault_migrate: bool = True,
         fault_retry_started: bool = True,
-        dispatch_index: bool = True,
         sim: Optional[Simulator] = None,
         seed: int = 0,
         **build_kwargs,
@@ -352,10 +351,9 @@ class MultiReplicaSystem:
         per-tenant fairness block to ``summary().extra``; ``None`` keeps the
         anonymous FIFO path bit-for-bit unchanged.
 
-        ``dispatch_index=False`` forces linear-scan dispatch (differential
-        baselines; see ``DataParallelCluster``).  ``sim`` shares an
-        existing clock — a :class:`~repro.serving.region.ServingRegion`
-        builds one system per dispatcher shard on one simulator.
+        ``sim`` shares an existing clock — a
+        :class:`~repro.serving.region.ServingRegion` builds one system per
+        dispatcher shard on one simulator.
         ``autoscale_budget`` attaches the autoscaler to a region-wide
         shared GPU pool (duck-typed ``report(key, n)`` / ``available()``;
         see ``serving.region.SharedGpuBudget``) under claim key
@@ -420,7 +418,6 @@ class MultiReplicaSystem:
             rng=np.random.default_rng(seed),  # simlint: ignore[D001] -- dispatch RNG byte stream pinned since PR 1; moving it into RngStreams would re-pair every fig26-fig30 baseline
             capability_estimator=estimator,
             sim=sim,
-            dispatch_index=dispatch_index,
             tenancy=tenancy,
         )
         system = cls(replicas=replicas, cluster=cluster, sim=sim,
@@ -653,53 +650,9 @@ class MultiReplicaSystem:
             # Keyed on the fairness policy's presence, not on whether the
             # trace carries tenants: a tenant-labelled trace run without a
             # tenancy policy (fig31) keeps its summary byte-identical.
-            self._tenant_block(summary.extra, requests, warmup)
+            tenant_block(summary.extra, requests, warmup, self.slo_policy,
+                         [self.cluster.stats.tenants])
         return summary
-
-    def _tenant_block(self, extra: dict, requests, warmup: float) -> None:
-        """Write the per-tenant fairness accounting into ``extra``.
-
-        All lists are parallel to ``tenant_ids`` (sorted, the anonymous
-        ``None`` tenant last).  ``tenant_attainment`` counts shed and
-        unfinished requests against the tenant (like
-        ``cluster_slo_attainment``); its spread (max - min) and Jain index
-        are the fairness headline, and the quota columns expose how hard the
-        token buckets worked (throttle visits, borrow-from-idle admissions).
-        """
-        from repro.metrics.summary import jain_fairness_index, tenant_breakdown
-
-        attained = (self.slo_policy.attained
-                    if self.slo_policy is not None else None)
-        breakdown = tenant_breakdown(requests, warmup=warmup,
-                                     attained=attained)
-        books = self.cluster.stats.tenants
-        tenant_ids = breakdown["tenant_ids"]
-        throttles, borrows, virtual_times, weights = [], [], [], []
-        for tenant in tenant_ids:
-            book = books.get(tenant)
-            throttles.append(book.throttled if book is not None else 0)
-            borrows.append(book.borrowed if book is not None else 0)
-            virtual_times.append(
-                book.virtual_time if book is not None else 0.0)
-            weights.append(book.weight if book is not None else 1.0)
-        attainment = [a for a in breakdown["attainment"]
-                      if a == a]  # drop NaN lanes (no post-warmup arrivals)
-        extra.update(
-            tenant_ids=tenant_ids,
-            tenant_arrivals=breakdown["arrivals"],
-            tenant_completed=breakdown["completed"],
-            tenant_shed=breakdown["shed"],
-            tenant_lost=breakdown["lost"],
-            tenant_attainment=breakdown["attainment"],
-            tenant_attainment_spread=(
-                max(attainment) - min(attainment) if attainment
-                else float("nan")),
-            tenant_fairness_jain=jain_fairness_index(attainment),
-            tenant_quota_throttles=throttles,
-            tenant_quota_borrows=borrows,
-            tenant_virtual_time=virtual_times,
-            tenant_weights=weights,
-        )
 
     def per_replica_counts(self) -> list[int]:
         """Completed requests per replica (load-balance diagnostics)."""
@@ -743,6 +696,62 @@ class MultiReplicaSystem:
     def dispatch_queue_delays(self) -> list[float]:
         """Per-request global-queue delays (0 for directly-dispatched)."""
         return [r.dispatch_queue_delay for r in self.all_requests()]
+
+
+def tenant_block(extra: dict, requests, warmup: float, slo_policy,
+                 shard_books: list) -> None:
+    """Write the per-tenant fairness accounting into ``extra``.
+
+    ``shard_books`` holds one ``DispatchStats.tenants`` dict per dispatcher
+    shard (a plain system passes its one dict); each tenant's quota
+    counters and virtual time are summed over the shards, so a region
+    reports its merged ledgers.  Summing over one shard is exact.
+
+    All lists are parallel to ``tenant_ids`` (sorted, the anonymous
+    ``None`` tenant last).  ``tenant_attainment`` counts shed and
+    unfinished requests against the tenant (like
+    ``cluster_slo_attainment``); its spread (max - min) and Jain index are
+    the fairness headline, and the quota columns expose how hard the token
+    buckets worked (throttle visits, borrow-from-idle admissions).
+    """
+    from repro.metrics.summary import jain_fairness_index, tenant_breakdown
+
+    attained = slo_policy.attained if slo_policy is not None else None
+    breakdown = tenant_breakdown(requests, warmup=warmup, attained=attained)
+    tenant_ids = breakdown["tenant_ids"]
+    throttles, borrows, virtual_times, weights = [], [], [], []
+    for tenant in tenant_ids:
+        throttled = borrowed = 0
+        virtual_time, weight = 0.0, 1.0
+        for books in shard_books:
+            book = books.get(tenant)
+            if book is not None:
+                throttled += book.throttled
+                borrowed += book.borrowed
+                virtual_time += book.virtual_time
+                weight = book.weight  # identical on every shard
+        throttles.append(throttled)
+        borrows.append(borrowed)
+        virtual_times.append(virtual_time)
+        weights.append(weight)
+    attainment = [a for a in breakdown["attainment"]
+                  if a == a]  # drop NaN lanes (no post-warmup arrivals)
+    extra.update(
+        tenant_ids=tenant_ids,
+        tenant_arrivals=breakdown["arrivals"],
+        tenant_completed=breakdown["completed"],
+        tenant_shed=breakdown["shed"],
+        tenant_lost=breakdown["lost"],
+        tenant_attainment=breakdown["attainment"],
+        tenant_attainment_spread=(
+            max(attainment) - min(attainment) if attainment
+            else float("nan")),
+        tenant_fairness_jain=jain_fairness_index(attainment),
+        tenant_quota_throttles=throttles,
+        tenant_quota_borrows=borrows,
+        tenant_virtual_time=virtual_times,
+        tenant_weights=weights,
+    )
 
 
 def _replica_overrides(spec) -> dict:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.cluster import DataParallelCluster
+from repro.serving.admission import TenantFairnessPolicy
 from repro.serving.autoscaler import (
     Autoscaler,
     AutoscaleConfig,
@@ -404,6 +405,26 @@ def test_autoscaler_ticks_stop_when_work_drains(big_registry):
     assert cluster.autoscaler.ticks > 0
 
 
+def test_pending_work_counts_tenant_lanes(big_registry):
+    """An arrival parked in a tenant lane is pending work: past its
+    ``until``, the control loop keeps ticking while lane work waits."""
+    system = MultiReplicaSystem.build(
+        "slora", n_replicas=1, registry=big_registry,
+        tenancy=TenantFairnessPolicy())
+    cluster = system.cluster
+    cluster.stall_replica(0, 5.0)
+    cluster.dispatch(Request(request_id=0, arrival_time=0.0,
+                             input_tokens=300, output_tokens=30, tenant_id=1))
+    assert cluster.queue_len() == 1
+    assert cluster.total_in_flight() == 0
+    assert cluster.has_pending_work()
+    scaler = Autoscaler(sim=system.sim, cluster=cluster,
+                        config=AutoscaleConfig(min_replicas=1, max_replicas=2),
+                        provision=system.provision_replica)
+    scaler.start(until=0.0)
+    assert scaler._should_continue()
+
+
 # --------------------------------------------------------------------- #
 # ObservedCapabilityEstimator
 # --------------------------------------------------------------------- #
@@ -545,9 +566,6 @@ class _CapEngine:
 
     def in_flight_count(self):
         return len(self.in_flight)
-
-    def is_saturated(self):
-        return False
 
     def on_finish(self, callback):
         pass

@@ -1,5 +1,7 @@
 """Tests for tensor-parallel groups and the data-parallel dispatcher."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hardware.cluster import DataParallelCluster, TensorParallelGroup
@@ -53,6 +55,9 @@ def test_tp_sharded_load_through_link():
 
 
 class _FakeEngine:
+    """An engine that never finishes: the cluster reads ``load`` once at
+    registration and counts its own submits on top."""
+
     def __init__(self, load, resident=()):
         self._load = load
         self.submitted = []
@@ -66,6 +71,7 @@ class _FakeEngine:
 
     def submit(self, request):
         self.submitted.append(request)
+        self._load += 1
 
 
 class _TokenEngine(_FakeEngine):
@@ -83,7 +89,7 @@ class _QueueEngine:
     """A saturable engine for exercising the global admission queue."""
 
     def __init__(self, capacity, sim=None):
-        self.capacity = capacity
+        self.config = SimpleNamespace(max_batch_size=capacity)
         self.sim = sim
         self.submitted = []
         self.in_flight = 0
@@ -95,9 +101,6 @@ class _QueueEngine:
 
     def is_resident(self, adapter_id):
         return False
-
-    def is_saturated(self):
-        return self.in_flight >= self.capacity
 
     def on_finish(self, callback):
         self._finish_callbacks.append(callback)
@@ -410,6 +413,8 @@ class _CountingEngine(_FakeEngine):
 
 
 def test_p2c_probes_each_candidate_once():
+    # The one probe per engine is the registration read; picks compare the
+    # cluster's counters and probe nothing.
     engines = [_CountingEngine(3), _CountingEngine(1)]
     cluster = DataParallelCluster(engines, policy="p2c")
     assert cluster._pick(_FakeRequest()) == 1
@@ -431,7 +436,10 @@ def test_dp_fifo_no_overtaking_while_queue_nonempty():
     for i in range(3):
         cluster.dispatch(_FakeRequest(rid=i))
     assert cluster.queue_len() == 1
-    engines[0].in_flight = 0  # capacity appears out of band
+    # Capacity appears without a finish event: engine 0 loses its work in
+    # a bulk move, and the cluster re-reads its count without draining.
+    engines[0].in_flight = 0
+    cluster._resync_load(0)
     assert cluster.dispatch(_FakeRequest(rid=3)) is None
     # Drain ran inside dispatch: the queued head (rid=2) took the slot, and
     # the new arrival stayed behind it in the queue.

@@ -4,6 +4,8 @@ under random scheduling episodes, the cost model's monotonicity, and the
 data-parallel dispatcher's invariants under random arrival/finish
 interleavings (for every dispatch policy and SLO admission mode)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,7 @@ class _SatEngine:
 
     def __init__(self, capacity, sim, submit_log):
         self.capacity = capacity
+        self.config = SimpleNamespace(max_batch_size=capacity)
         self.sim = sim
         self.submitted = []
         self.in_flight = []
@@ -248,6 +251,13 @@ def _run_interleaving(policy, ops, n_engines, capacity, slo_policy=None):
             + cluster.stats.shed == len(arrived)
         # No engine is ever pushed past its capacity.
         assert all(len(e.in_flight) <= e.capacity for e in engines)
+        # The cluster's counters track every engine's own count, and the
+        # O(1) pending probe agrees with the sweep it stands for.
+        assert cluster._inflight == [e.in_flight_count() for e in engines]
+        assert cluster.total_in_flight() == sum(
+            e.in_flight_count() for e in engines)
+        assert cluster.has_pending_work() == (
+            cluster.queue_len() > 0 or cluster.total_in_flight() > 0)
     return submit_log, queued_order
 
 

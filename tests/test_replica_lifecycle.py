@@ -28,6 +28,8 @@ migrations``.  Fault-free op sequences exercise exactly the historic
 assertions.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ class _LifecycleEngine:
 
     def __init__(self, capacity, sim):
         self.capacity = capacity
+        self.config = SimpleNamespace(max_batch_size=capacity)
         self.sim = sim
         self.submitted = []
         self.in_flight = []

@@ -2,6 +2,8 @@
 path, the deprioritized lane, and the queue-wait estimator that drives the
 knee decision."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.hardware.cluster import (
@@ -21,7 +23,7 @@ class _QueueEngine:
     """A saturable engine for exercising the global admission queue."""
 
     def __init__(self, capacity, sim=None):
-        self.capacity = capacity
+        self.config = SimpleNamespace(max_batch_size=capacity)
         self.sim = sim
         self.submitted = []
         self.in_flight = 0
@@ -33,9 +35,6 @@ class _QueueEngine:
 
     def is_resident(self, adapter_id):
         return False
-
-    def is_saturated(self):
-        return self.in_flight >= self.capacity
 
     def on_finish(self, callback):
         self._finish_callbacks.append(callback)
@@ -277,8 +276,10 @@ def test_new_arrival_overtakes_the_low_lane_only():
     sim.now = 5.0
     engines[0].finish_one()         # drains the FIFO head, lane now empty
     assert cluster.low_queue_len() == 1
-    # Capacity appears out of band: a fresh arrival beats the parked one.
+    # Capacity appears without a finish event (a bulk move the cluster
+    # re-reads without draining): a fresh arrival beats the parked one.
     engines[1].in_flight = 0
+    cluster._resync_load(1)
     fresh = _req(rid=14)
     idx = cluster.dispatch(fresh)
     assert idx is not None
