@@ -914,7 +914,11 @@ class DataParallelCluster:
         that tops up its deficit by the lane quantum (capped at twice the
         quantum, so a throttled lane's entitlement stays bounded), and the
         visit lasts — across saturation pauses — until the lane is out of
-        backlog, deficit, or quota tokens.  One full sweep serves every
+        backlog, deficit, or quota tokens.  A serve that spends the
+        deficit closes the visit itself, so the next step starts at the
+        next lane — a spent visit never costs a step while slots are free
+        (work conservation: one uncapped lane drains like a FIFO).
+        One full sweep serves every
         backlogged lane at least once unless its bucket is empty; if a sweep
         serves nothing while backlog remains, every backlogged lane is out
         of quota, and — only while the fleet has genuine slack
@@ -947,6 +951,8 @@ class DataParallelCluster:
                     if not lane:
                         self._deficit[key] = 0.0
                         self._advance_lane()
+                    elif self._deficit[key] < 1.0:
+                        self._advance_lane()  # visit spent: next step moves on
                     self._release_fair(entry)
                     return True
                 book.throttled += 1  # once per visit, not per entry

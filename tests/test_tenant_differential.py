@@ -10,6 +10,9 @@ The tenant-fairness stack must be pay-for-what-you-use:
   anonymous generator's trace at equal seeds (same arrivals, lengths,
   adapter picks, ids), with only the labels added.
 * Without a fairness policy, ``summary().extra`` carries no tenant block.
+* With a fairness policy, an anonymous trace — one uncapped lane — runs
+  **byte-identically** to the policy-free dispatcher: deficit round-robin
+  over a single lane is a FIFO, under every routing policy and SLO mode.
 
 The driver-level guarantee (fig26–fig31 ``--quick`` JSONs byte-identical
 across the PR) is the same property end-to-end; these tests pin it at the
@@ -21,8 +24,9 @@ from __future__ import annotations
 import pytest
 
 from repro.adapters.registry import AdapterRegistry
+from repro.hardware.cluster import DataParallelCluster
 from repro.llm.model import LLAMA_7B
-from repro.serving.admission import SloPolicy
+from repro.serving.admission import SloPolicy, TenantFairnessPolicy
 from repro.serving.engine import EngineConfig
 from repro.serving.replica import MultiReplicaSystem
 from repro.sim.rng import RngStreams
@@ -45,11 +49,12 @@ def _anonymous_trace(rps=25.0, duration=12.0, seed=9):
                             rng=rng, registry=_registry())
 
 
-def _run(trace, *, slo=None, seed=5, policy="least_loaded"):
+def _run(trace, *, slo=None, seed=5, policy="least_loaded", tenancy=None):
     system = MultiReplicaSystem.build(
         "chameleon", n_replicas=2, dispatch_policy=policy,
         registry=_registry(), seed=seed, backpressure=True,
-        engine_config=EngineConfig(max_batch_size=4), slo_policy=slo)
+        engine_config=EngineConfig(max_batch_size=4), slo_policy=slo,
+        tenancy=tenancy)
     system.run_trace(trace.fresh(), horizon=trace.duration)
     return system
 
@@ -104,6 +109,26 @@ def test_no_tenant_block_without_policy():
     system = _run(trace)
     extra = system.summary(duration=trace.duration).extra
     assert not any(key.startswith("tenant_") for key in extra)
+
+
+# --------------------------------------------------------------------- #
+# One uncapped lane == the FIFO
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("rps", (25.0, 60.0))
+@pytest.mark.parametrize("mode", (None, "shed", "deprioritize"))
+@pytest.mark.parametrize("policy", DataParallelCluster.POLICIES)
+def test_one_lane_fairness_equals_fifo(policy, mode, rps):
+    """An anonymous trace under a fairness policy queues in one lane with
+    no quota; deficit round-robin over it must serve exactly the FIFO's
+    order at exactly the FIFO's instants, and shed or deprioritize exactly
+    the same arrivals."""
+    trace = _anonymous_trace(rps=rps)
+    slo = None if mode is None else SloPolicy(ttft_deadline=1.0, mode=mode)
+    fifo = _run(trace, slo=slo, policy=policy)
+    fair = _run(trace, slo=slo, policy=policy,
+                tenancy=TenantFairnessPolicy())
+    assert fifo.cluster.stats.queued > 0, "the run must exercise the queue"
+    assert _fingerprint(fair) == _fingerprint(fifo)
 
 
 # --------------------------------------------------------------------- #

@@ -5,7 +5,8 @@ overlay, and :class:`TenantFairnessPolicy` construction, at their boundary
 inputs: 1-tenant populations, zero skew, empty traces, rejected kwargs, and
 the deliberate formula duplication between ``label_tenants`` and
 ``distributions.zipf_weights`` (pinned allclose here so the two
-normalizations cannot silently drift apart).
+normalizations cannot silently drift apart), and deficit round-robin's
+work conservation when capacity arrives in one step.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.quotas import QueueStats
+from repro.hardware.cluster import DataParallelCluster
 from repro.serving.admission import TenantFairnessPolicy
 from repro.sim.rng import RngStreams
+from repro.sim.simulator import Simulator
+from repro.workload.request import Request
 from repro.workload.distributions import zipf_weights
 from repro.workload.tenants import (
     DEFAULT_SLO_CLASSES,
@@ -25,6 +29,7 @@ from repro.workload.tenants import (
     inject_hot_tenant_storm,
 )
 from repro.workload.trace import SPLITWISE_PROFILE, Trace, synthesize_trace
+from test_replica_lifecycle import _LifecycleEngine
 
 
 def _trace(rps=20.0, duration=10.0, seed=3):
@@ -265,3 +270,37 @@ def test_policy_validation_and_defaults():
     assert policy.weight_for(None) == policy.default_weight
     assert policy.rate_for(None) is None
     assert policy.rate_for(7) is None  # uncapped tenant
+
+
+# --------------------------------------------------------------------- #
+# Deficit round-robin is work-conserving
+# --------------------------------------------------------------------- #
+def _lane_backlog_after_scale_out(tenancy):
+    """One saturated 4-slot replica, 20 arrivals, then three zero-delay
+    scale-outs: each activation drains the backlog into the newcomer."""
+    sim = Simulator()
+    engine = _LifecycleEngine(4, sim)
+    cluster = DataParallelCluster([engine], sim=sim, tenancy=tenancy)
+    engine.cluster = cluster
+    for rid in range(20):
+        cluster.dispatch(Request(request_id=rid, arrival_time=0.0,
+                                 input_tokens=10, output_tokens=2))
+    for _ in range(3):
+        newcomer = _LifecycleEngine(4, sim)
+        newcomer.cluster = cluster
+        cluster.add_replica(newcomer)
+    return cluster
+
+
+def test_drr_fills_every_free_slot_while_a_lane_waits():
+    """A lane whose visit spent its deficit must not end the drain with
+    slots free: one uncapped lane drains exactly like a FIFO, and serving
+    it never books a borrow (it has no bucket to borrow past)."""
+    fair = _lane_backlog_after_scale_out(TenantFairnessPolicy())
+    fifo = _lane_backlog_after_scale_out(None)
+    for cluster in (fair, fifo):
+        assert cluster.queue_len() == 4
+        assert [len(e.in_flight) for e in cluster.engines] == [4, 4, 4, 4]
+    (book,) = fair.stats.tenants.values()
+    assert book.borrowed == 0
+    assert book.admitted == 16
