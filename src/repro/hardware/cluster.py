@@ -90,19 +90,22 @@ class TensorParallelGroup(GpuDevice):
 
 @dataclass
 class TenantBook:
-    """Per-tenant dispatch ledger (one per lane; fairness dispatch only).
+    """Dispatch ledger of one admission lane.
 
-    All counters are *offers and outcomes at this cluster*: a migrated
-    request re-offered after a crash counts ``submitted`` again, exactly as
-    it counts ``DispatchStats.arrivals`` again.  At any instant
+    Tenant lanes publish their book in ``DispatchStats.tenants``; the one
+    anonymous lane of a cluster without a tenancy policy keeps its book
+    private.  All counters are *offers and outcomes at this cluster*: a
+    migrated request re-offered after a crash counts ``submitted`` again,
+    exactly as it counts ``DispatchStats.arrivals`` again.  At any instant
 
         submitted + stolen == admitted + shed + donated + waiting
 
     holds exactly per tenant, where ``waiting`` is the tenant's lane length
     plus its entries still parked in the shared deprioritized lane (the
     invariant suite checks it), and every counter summed over the books
-    equals its cluster-wide ``DispatchStats`` twin.  ``admitted - borrowed - deprioritized`` is bounded by the lane's
-    token bucket (burst + rate x horizon) — the quota-ceiling invariant; the
+    equals its cluster-wide ``DispatchStats`` twin.
+    ``admitted - borrowed - deprioritized`` is bounded by the lane's token
+    bucket (burst + rate x horizon) — the quota-ceiling invariant; the
     deprioritized lane bypasses quota because it only drains idle capacity
     by construction.
     """
@@ -150,6 +153,22 @@ class _TokenBucket:
         return min(self.burst, self.tokens + self.rate * (now - self.stamp))
 
 
+class _Lane:
+    """One admission lane: its waiting entries, DRR deficit, optional
+    token bucket and ledger (the quantum is ``book.weight``)."""
+
+    __slots__ = ("key", "label", "entries", "deficit", "bucket", "book")
+
+    def __init__(self, key, label: str, bucket: Optional[_TokenBucket],
+                 book: TenantBook) -> None:
+        self.key = key            # tenant id; None on the anonymous lane
+        self.label = label        # trace label: "fifo" or "drr"
+        self.entries: deque = deque()  # (request, enqueue_time), FIFO
+        self.deficit = 0.0        # carried DRR deficit
+        self.bucket = bucket      # None: uncapped
+        self.book = book
+
+
 @dataclass
 class DispatchStats:
     """Global-dispatcher telemetry (queueing, routing, SLO admission)."""
@@ -169,8 +188,8 @@ class DispatchStats:
     donated: int = 0           # queued requests handed to a sibling shard
     stolen: int = 0            # requests accepted from a sibling's queue
     queue_delays: list = field(default_factory=list)  # seconds, queued only
-    #: tenant id -> TenantBook; populated only under a TenantFairnessPolicy
-    #: (empty dict otherwise — the anonymous path never touches it).
+    #: tenant id -> TenantBook of each tenant lane; empty without a
+    #: TenantFairnessPolicy (the anonymous lane's book is not published).
     tenants: dict = field(default_factory=dict)
 
 
@@ -183,11 +202,21 @@ class DataParallelCluster:
     """A set of independent engines behind a global dispatcher.
 
     The dispatcher implements the two-level scheduling of §4.4: routing
-    (``policy``) plus a global admission queue.  With ``backpressure`` on,
-    an arrival finding *every* engine saturated (batch at capacity) waits in
-    a cluster-level FIFO queue rather than being force-submitted; engines
-    pull from the queue as finish events free batch slots, and the time each
+    (``policy``) plus one global admission queue.  With ``backpressure``
+    on, an arrival finding *every* engine saturated (batch at capacity)
+    waits at the cluster rather than being force-submitted; engines pull
+    from the queue as finish events free batch slots, and the time each
     request spent waiting is stamped on ``request.dispatch_queue_delay``.
+
+    **Admission lanes.**  The queue is a ring of lanes drained by deficit
+    round-robin (DRR; Shreedhar & Varghese, SIGCOMM '95), which is
+    work-conserving: a drain stops only when the fleet is saturated or
+    every backlogged lane is out of quota.  Without a ``tenancy`` policy
+    there is one anonymous lane — quantum 1, no quota — so the queue is a
+    FIFO whatever tenant or class labels the requests carry.  A
+    :class:`~repro.serving.admission.TenantFairnessPolicy` gives each
+    tenant its own lane, with its class weight as DRR quantum and an
+    optional token-bucket rate cap (see :meth:`_drr_step`).
 
     **Load counters (the engine contract).**  The dispatcher never walks
     engine state to route.  It keeps one in-flight counter per engine and
@@ -210,13 +239,15 @@ class DataParallelCluster:
     sharding the fleet across dispatchers.
 
     **SLO admission** (``slo_policy``): whenever an arrival would have to
-    queue, the dispatcher estimates its queue wait as ``(fifo position) x``
-    an EWMA of cluster-wide inter-finish intervals (each finish event admits
-    one queued request, so the finish rate *is* the drain rate).  An arrival
-    whose estimate exceeds its TTFT deadline is past the knee: it is either
-    shed (rejected, with accounting) or deprioritized into a low-priority
-    lane that drains only while the FIFO lane is empty — new deadline-
-    feasible arrivals may overtake the low lane, but never the FIFO lane.
+    queue, the dispatcher estimates its wait in its lane
+    (:meth:`_estimated_lane_wait`; on the anonymous lane, ``(queue
+    position) x`` an EWMA of cluster-wide inter-finish intervals — each
+    finish event admits one queued request, so the finish rate *is* the
+    drain rate).  An arrival whose estimate exceeds its TTFT deadline is
+    past the knee: it is either shed (rejected, with accounting) or
+    deprioritized into a low-priority lane that drains only while every
+    admission lane is empty — new deadline-feasible arrivals may overtake
+    the low lane, but never an admission lane.
 
     **Heterogeneous fleets**: engines exposing a ``capability()`` probe (a
     relative throughput weight; see ``ServingEngine.capability``) get every
@@ -333,23 +364,19 @@ class DataParallelCluster:
         self._sim_memo = None  # resolved clock, cached on first use
         self._rng = rng if rng is not None else np.random.default_rng(0)  # simlint: ignore[D001] -- dispatch RNG byte stream pinned since PR 1; moving it into RngStreams would re-pair every fig26-fig30 baseline
         self._rr_next = 0
-        self._queue: deque = deque()      # (request, enqueue_time) FIFO lane
         self._low_queue: deque = deque()  # deprioritized lane (SLO policy)
         self._shed: list = []             # arrivals rejected by SLO admission
         self._lost: list = []             # stranded by replica failures
-        # Tenant-fairness lane state (used only with a tenancy policy; the
-        # anonymous path never touches it beyond the `_fair_backlog == 0`
-        # reads folded into can_admit/queue_len).  Lanes live in dicts keyed
-        # by tenant id, but every dispatch-path iteration walks `_lane_ring`
-        # — the deterministic activation-order list — never the dicts.
-        self._lanes: dict = {}            # tenant -> deque[(request, t)]
-        self._lane_ring: list = []        # lane keys, activation order
+        # Admission lanes (see the class docstring).  Every dispatch-path
+        # iteration walks `_lane_ring`, the deterministic activation-order
+        # list; the `_lanes` dict only finds a tenant's lane.
+        self._lane_ring: list[_Lane] = []
+        self._lanes: dict = {}            # tenant id -> its _Lane
         self._lane_cursor: int = 0        # DRR position in _lane_ring
         self._visit_open: bool = False    # mid-visit at the cursor lane
-        self._deficit: dict = {}          # tenant -> carried DRR deficit
-        self._lane_quantum: dict = {}     # tenant -> max(1, class weight)
-        self._buckets: dict = {}          # tenant -> _TokenBucket (capped)
-        self._fair_backlog: int = 0       # total queued across lanes
+        self._backlog: int = 0            # entries across every lane
+        if tenancy is None:
+            self._lane_ring.append(_Lane(None, "fifo", None, TenantBook()))
         #: One record per migrated request re-offer: time, request id, the
         #: replica it was evacuated from, and its retry ordinal.
         self.migration_log: list[dict] = []
@@ -532,84 +559,130 @@ class DataParallelCluster:
         """Route ``request``: submit it to an engine, queue it, or shed it.
 
         Returns the engine index, or ``None`` when backpressure held the
-        request in a cluster queue (it is submitted later, FIFO lane in
-        arrival order, as finish events free capacity) or the SLO policy
-        shed it (``request.shed`` is set; it never runs).
+        request in its admission lane (it is submitted later, as finish
+        events free capacity — see :meth:`_drain`) or the SLO policy shed
+        it (``request.shed`` is set; it never runs).
 
         An elastic fleet can be momentarily replica-less (everything still
         provisioning, or draining out): such arrivals always wait at the
         cluster — backpressure or not, there is nowhere to submit — and are
         released when a replica activates.
 
-        With a :class:`~repro.serving.admission.TenantFairnessPolicy`
-        attached (``tenancy=``), waiting arrivals park in per-tenant lanes
-        drained by deficit round-robin under token-bucket rate caps instead
-        of the single FIFO — see :meth:`_dispatch_fair`.
+        Immediate admission (:meth:`can_admit` true) charges the lane's
+        token bucket, if it has one; when the bucket is empty the admission
+        only proceeds — counted ``borrowed`` — while the fleet has genuine
+        slack (:meth:`_fleet_has_idle`), because a serve past quota is free
+        exactly when it cannot delay in-quota tenants behind a deepening
+        engine backlog.  Out of quota with the fleet busy, the arrival
+        waits in its lane for a token like any other.  An arrival that must
+        wait passes the lane-aware SLO gate, then joins its lane's tail.
         """
-        if self.tenancy is not None:
-            return self._dispatch_fair(request)
         self.stats.arrivals += 1
+        lane = self._lane_for(request)
+        book = lane.book
+        book.submitted += 1
         if self.can_admit():
-            return self._submit(request)
-        # The arrival must wait: consult the SLO policy before the FIFO
-        # lane commits capacity to a request that cannot meet its deadline.
+            bucket = lane.bucket
+            if bucket is None or bucket.try_take(self._now()):
+                return self._submit(request)
+            if self._fleet_has_idle():
+                book.borrowed += 1
+                return self._submit(request)
+        # The arrival must wait: consult the SLO policy before the lane
+        # commits capacity to a request that cannot meet its deadline.
         if self.slo_policy is not None:
             deadline = self.slo_policy.deadline_for(request)
-            if self.estimated_queue_wait() > deadline:
+            if self._estimated_lane_wait(lane) > deadline:
                 if self.slo_policy.mode == "shed":
                     request.shed = True
                     self.stats.shed += 1
+                    book.shed += 1
                     self._shed.append(request)
                     if self._tracer is not None:
-                        self._tracer.instant(
-                            "slo_shed", self._now(), self._trace_tid,
-                            request_id=request.request_id,
-                            **self.slo_policy.trace_args(request, deadline))
+                        self._trace_slo("slo_shed", request, lane, deadline)
                     return None
                 request.deprioritized = True
                 self.stats.deprioritized += 1
                 self.stats.queued += 1
+                book.deprioritized += 1
+                book.queued += 1
                 if self._tracer is not None:
-                    self._tracer.instant(
-                        "slo_deprioritize", self._now(), self._trace_tid,
-                        request_id=request.request_id,
-                        **self.slo_policy.trace_args(request, deadline))
+                    self._trace_slo("slo_deprioritize", request, lane,
+                                    deadline)
                 self._low_queue.append((request, self._now()))
                 self._drain()
                 return None
-        # FIFO lane: nothing may overtake an already-queued arrival.
-        self._queue.append((request, self._now()))
+        lane.entries.append((request, self._now()))
+        self._backlog += 1
         self.stats.queued += 1
+        book.queued += 1
         self._drain()
         return None
+
+    def _lane_for(self, request) -> _Lane:
+        """The request's admission lane: the anonymous lane without a
+        tenancy policy, else its tenant's lane, opened on first sight.
+
+        A tenant lane's DRR quantum is fixed when the lane opens, from the
+        SLO class of the first request seen for the tenant (classes are
+        per-tenant in the population model).  Quanta below 1 are rounded up
+        so every backlogged lane is entitled to at least one serve per DRR
+        round — the no-starvation bound.
+        """
+        if self.tenancy is None:
+            return self._lane_ring[0]
+        key = getattr(request, "tenant_id", None)
+        lane = self._lanes.get(key)
+        if lane is None:
+            weight = self.tenancy.weight_for(
+                getattr(request, "slo_class", None))
+            book = TenantBook(weight=max(1.0, weight))
+            self.stats.tenants[key] = book
+            rate = self.tenancy.rate_for(key)
+            bucket = None if rate is None else _TokenBucket(
+                rate, self.tenancy.quota_burst, self._now())
+            lane = _Lane(key, "drr", bucket, book)
+            self._lanes[key] = lane
+            self._lane_ring.append(lane)
+        return lane
+
+    def _trace_slo(self, name: str, request, lane: _Lane,
+                   deadline: float) -> None:
+        # Only tenant lanes tag their SLO decisions with a lane label.
+        tag = {"lane": "drr"} if lane.label == "drr" else {}
+        self._tracer.instant(
+            name, self._now(), self._trace_tid,
+            request_id=request.request_id, **tag,
+            **self.slo_policy.trace_args(request, deadline))
 
     def can_admit(self) -> bool:
         """True when an arrival offered right now would be submitted to an
         engine immediately (no queueing, no shed): some replica is eligible
-        and, under backpressure, nothing is already waiting and not every
+        and, under backpressure, no lane holds a waiting entry and not every
         eligible replica is saturated.  O(1) — the region router calls
         this per arrival to decide spills, and the work-stealing loop
         calls it per steal."""
         return self._has_available() and not (
-            self.backpressure and (
-                self._queue or self._fair_backlog or self._all_saturated()))
+            self.backpressure and (self._backlog or self._all_saturated()))
 
     def estimated_queue_wait(self) -> float:
-        """Predicted queue wait of the next FIFO arrival, in seconds.
+        """Predicted queue wait of an arrival behind the whole backlog, in
+        seconds — the autoscaler's queueing signal.
 
-        Each cluster-wide finish event admits one queued request, so the
-        wait of an arrival joining the FIFO lane at position ``k`` (1-based)
-        is about ``k`` inter-finish intervals.  Before any finish has been
-        observed the estimator is optimistic (0.0): cold starts admit.
+        Each cluster-wide finish event admits one queued request, so an
+        arrival joining behind ``k - 1`` waiting entries waits about ``k``
+        inter-finish intervals.  Before any finish has been observed the
+        estimator is optimistic (0.0): cold starts admit.  The SLO gate
+        reads the per-lane :meth:`_estimated_lane_wait`, which equals this
+        on the anonymous lane.
         """
         if self._finish_interval_ewma is None:
             return 0.0
-        return (len(self._queue) + self._fair_backlog + 1) * \
-            self._finish_interval_ewma
+        return (self._backlog + 1) * self._finish_interval_ewma
 
     def queue_len(self) -> int:
         """Requests currently waiting at the cluster (all lanes)."""
-        return len(self._queue) + self._fair_backlog + len(self._low_queue)
+        return self._backlog + len(self._low_queue)
 
     def low_queue_len(self) -> int:
         """Requests currently parked in the deprioritized lane."""
@@ -618,14 +691,13 @@ class DataParallelCluster:
     def pending_requests(self) -> list:
         """Requests still waiting at the cluster (never dispatched).
 
-        Covers every lane — FIFO first, then tenant lanes in activation
-        order, then the deprioritized lane.  Non-empty only when a run stops
-        at a horizon while the cluster is backlogged; accounting must not
-        lose these arrivals.
+        Covers every lane — admission lanes in activation order, then the
+        deprioritized lane.  Non-empty only when a run stops at a horizon
+        while the cluster is backlogged; accounting must not lose these
+        arrivals.
         """
-        pending = [request for request, _ in self._queue]
-        for key in self._lane_ring:
-            pending.extend(request for request, _ in self._lanes[key])
+        pending = [request for lane in self._lane_ring
+                   for request, _ in lane.entries]
         pending.extend(request for request, _ in self._low_queue)
         return pending
 
@@ -649,6 +721,12 @@ class DataParallelCluster:
         return list(self._caps_raw)
 
     def _submit(self, request) -> int:
+        """Hand ``request`` to an engine and book the admission on its
+        lane (virtual time grows by the inverse quantum, so equal virtual
+        times mean weight-proportional service).  Returns the index."""
+        book = self._lane_for(request).book
+        book.admitted += 1
+        book.virtual_time += 1.0 / book.weight
         # Only ACTIVE, un-stalled replicas are dispatch targets:
         # provisioning/warming replicas have not joined yet, draining ones
         # accept nothing new, stalled ones are mid-fault, and failed ones
@@ -719,121 +797,45 @@ class DataParallelCluster:
         self._notify_capacity()
 
     def _drain(self) -> None:
-        if self.tenancy is not None:
-            self._drain_fair()
-            return
-        while self._queue and not self._all_saturated():
-            self._release(self._queue.popleft())
-        # The low-priority lane drains only while the FIFO lane is empty: a
-        # deprioritized request never delays a deadline-feasible one.
-        while not self._queue and self._low_queue and not self._all_saturated():
+        """Release waiting entries while some eligible replica has room:
+        admission lanes first, by :meth:`_drr_step`, then the deprioritized
+        lane — only while every admission lane is empty, so a deprioritized
+        request never delays a deadline-feasible one.  The deprioritized
+        lane bypasses the token buckets: by construction it only ever
+        consumes capacity no in-quota lane wanted."""
+        while self._backlog and not self._all_saturated():
+            if not self._drr_step():
+                break  # every backlogged lane throttled, fleet busy
+        while (not self._backlog and self._low_queue
+               and not self._all_saturated()):
             self._release(self._low_queue.popleft())
 
     def _release(self, entry) -> None:
         request, enqueued_at = entry
+        now = self._now()
         # Accumulate, don't overwrite: a migrated request can pass through
         # the queue once before its replica died and again after — its
         # delay is the total time spent waiting at the cluster.  First-pass
         # requests start at 0.0, so fault-free runs are bit-identical.
-        delay = self._now() - enqueued_at
+        delay = now - enqueued_at
         request.dispatch_queue_delay += delay
         self.stats.queue_delays.append(delay)
         if self._tracer is not None:
+            # The lane wait; a tenant lane annotates it with its carried
+            # deficit at release time — the "why did this tenant wait"
+            # answer.
+            lane = self._lane_for(request)
+            args = dict(lane="low" if request.deprioritized else lane.label)
+            if lane.key is not None:
+                args["tenant"] = lane.key
+                args["deficit"] = round(lane.deficit, 6)
             self._tracer.span(
-                "dispatch", enqueued_at, self._now(), self._trace_tid,
-                request.request_id,
-                lane="low" if request.deprioritized else "fifo")
+                "dispatch", enqueued_at, now, self._trace_tid,
+                request.request_id, **args)
         self._submit(request)
 
-    # ------------------------------------------------------------------ #
-    # Tenant-fairness dispatch (tenancy= policy attached)
-    # ------------------------------------------------------------------ #
-    def _book(self, request) -> TenantBook:
-        """The request's tenant ledger, creating its lane on first sight.
-
-        A lane's DRR quantum is fixed when the lane is created, from the SLO
-        class of the first request seen for the tenant (classes are
-        per-tenant in the population model).  Quanta below 1 are rounded up
-        so every backlogged lane is entitled to at least one serve per DRR
-        round — the no-starvation bound.
-        """
-        key = getattr(request, "tenant_id", None)
-        book = self.stats.tenants.get(key)
-        if book is None:
-            weight = self.tenancy.weight_for(
-                getattr(request, "slo_class", None))
-            book = TenantBook(weight=max(1.0, weight))
-            self.stats.tenants[key] = book
-            self._lanes[key] = deque()
-            self._lane_ring.append(key)
-            self._deficit[key] = 0.0
-            self._lane_quantum[key] = book.weight
-            rate = self.tenancy.rate_for(key)
-            if rate is not None:
-                self._buckets[key] = _TokenBucket(
-                    rate, self.tenancy.quota_burst, self._now())
-        return book
-
-    def _dispatch_fair(self, request) -> Optional[int]:
-        """Fairness twin of :meth:`dispatch`: lanes instead of the FIFO.
-
-        Immediate admission (:meth:`can_admit` true) still charges the
-        tenant's token bucket; when the bucket is empty the admission only
-        proceeds — counted ``borrowed`` — while the fleet has genuine slack
-        (:meth:`_fleet_has_idle`), because a serve past quota is free
-        exactly when it cannot delay in-quota tenants behind a deepening
-        engine backlog.  Out of quota with the fleet busy, the arrival
-        waits in its lane for a token like any other.  Arrivals that must
-        wait go through a lane-aware SLO gate, then park in their tenant's
-        lane.
-        """
-        self.stats.arrivals += 1
-        book = self._book(request)
-        book.submitted += 1
-        key = getattr(request, "tenant_id", None)
-        if self.can_admit():
-            bucket = self._buckets.get(key)
-            if bucket is None or bucket.try_take(self._now()):
-                return self._submit_fair(request, book)
-            if self._fleet_has_idle():
-                book.borrowed += 1
-                return self._submit_fair(request, book)
-        if self.slo_policy is not None:
-            deadline = self.slo_policy.deadline_for(request)
-            if self._estimated_lane_wait(key) > deadline:
-                if self.slo_policy.mode == "shed":
-                    request.shed = True
-                    self.stats.shed += 1
-                    book.shed += 1
-                    self._shed.append(request)
-                    if self._tracer is not None:
-                        self._tracer.instant(
-                            "slo_shed", self._now(), self._trace_tid,
-                            request_id=request.request_id, lane="drr",
-                            **self.slo_policy.trace_args(request, deadline))
-                    return None
-                request.deprioritized = True
-                self.stats.deprioritized += 1
-                self.stats.queued += 1
-                book.deprioritized += 1
-                book.queued += 1
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "slo_deprioritize", self._now(), self._trace_tid,
-                        request_id=request.request_id, lane="drr",
-                        **self.slo_policy.trace_args(request, deadline))
-                self._low_queue.append((request, self._now()))
-                self._drain_fair()
-                return None
-        self._lanes[key].append((request, self._now()))
-        self._fair_backlog += 1
-        self.stats.queued += 1
-        book.queued += 1
-        self._drain_fair()
-        return None
-
-    def _estimated_lane_wait(self, key) -> float:
-        """Predicted queue wait of an arrival joining tenant ``key``'s lane.
+    def _estimated_lane_wait(self, lane: _Lane) -> float:
+        """Predicted queue wait of an arrival joining ``lane``.
 
         Under deficit round-robin the wait is governed by the arrival's
         position in its *own* lane and the round cadence — not by the
@@ -842,72 +844,33 @@ class DataParallelCluster:
         rounds, each serving about the summed quanta of the currently
         backlogged lanes; the estimate is capped at the whole-backlog FIFO
         bound (DRR never serves more than everything ahead of the arrival).
-        A rate-capped lane additionally drains no faster than its token
-        bucket refills, so the wait is at least the time for the bucket to
-        cover the lane — that term is what sheds a storm at admission once
-        its lane holds a deadline's worth of quota.  This is what keeps the
-        SLO gate per-tenant: a victim with an empty lane admits on its own
-        merits while a storm's arrivals see their own mile-long lane and
-        shed.
+        On the one anonymous lane this is exactly ``p`` inter-finish
+        intervals, the FIFO estimate.  A rate-capped lane additionally
+        drains no faster than its token bucket refills, so the wait is at
+        least the time for the bucket to cover the lane — that term is what
+        sheds a storm at admission once its lane holds a deadline's worth
+        of quota.  This is what keeps the SLO gate per-tenant: a victim
+        with an empty lane admits on its own merits while a storm's
+        arrivals see their own mile-long lane and shed.
         """
         if self._finish_interval_ewma is None:
             return 0.0
-        lane = self._lanes.get(key)
-        position = (len(lane) if lane is not None else 0) + 1
-        quantum = self._lane_quantum.get(key, 1.0)
-        per_round = sum(self._lane_quantum[k]
-                        for k in self._lane_ring if self._lanes[k])
+        position = len(lane.entries) + 1
+        quantum = lane.book.weight
+        per_round = sum(other.book.weight for other in self._lane_ring
+                        if other.entries)
         per_round = max(per_round, quantum)
         serves = min((position / quantum) * per_round,
-                     self._fair_backlog + position)
+                     self._backlog + position)
         wait = serves * self._finish_interval_ewma
-        bucket = self._buckets.get(key)
+        bucket = lane.bucket
         if bucket is not None:
             short = position - bucket.available(self._now())
             if short > 0:
                 wait = max(wait, short / bucket.rate)
         return wait
 
-    def _submit_fair(self, request, book: TenantBook) -> int:
-        """Submit plus the tenant's service accounting (virtual time grows
-        by the inverse quantum, so equal virtual times mean weight-
-        proportional service)."""
-        book.admitted += 1
-        book.virtual_time += 1.0 / book.weight
-        return self._submit(request)
-
-    def _release_fair(self, entry) -> None:
-        """Fairness twin of :meth:`_release` (same delay accounting)."""
-        request, enqueued_at = entry
-        delay = self._now() - enqueued_at
-        request.dispatch_queue_delay += delay
-        self.stats.queue_delays.append(delay)
-        if self._tracer is not None:
-            # The DRR lane wait, annotated with the lane's carried deficit
-            # at release time — the "why did this tenant wait" answer.
-            key = getattr(request, "tenant_id", None)
-            args = dict(lane="low" if request.deprioritized else "drr")
-            if key is not None:
-                args["tenant"] = key
-                args["deficit"] = round(self._deficit.get(key, 0.0), 6)
-            self._tracer.span(
-                "dispatch", enqueued_at, self._now(), self._trace_tid,
-                request.request_id, **args)
-        self._submit_fair(request, self._book(request))
-
-    def _drain_fair(self) -> None:
-        while self._fair_backlog and not self._all_saturated():
-            if not self._fair_step():
-                break  # every backlogged lane throttled, fleet busy
-        # The shared deprioritized lane drains only while every tenant lane
-        # is empty — identical precedence to the anonymous path.  It bypasses
-        # the token buckets: by construction it only ever consumes capacity
-        # no in-quota lane wanted.
-        while (not self._fair_backlog and self._low_queue
-               and not self._all_saturated()):
-            self._release_fair(self._low_queue.popleft())
-
-    def _fair_step(self) -> bool:
+    def _drr_step(self) -> bool:
         """Serve at most one lane entry by deficit round-robin.
 
         The cursor walks ``_lane_ring``; arriving at a lane opens a *visit*
@@ -915,62 +878,57 @@ class DataParallelCluster:
         quantum, so a throttled lane's entitlement stays bounded), and the
         visit lasts — across saturation pauses — until the lane is out of
         backlog, deficit, or quota tokens.  A serve that spends the
-        deficit closes the visit itself, so the next step starts at the
-        next lane — a spent visit never costs a step while slots are free
-        (work conservation: one uncapped lane drains like a FIFO).
-        One full sweep serves every
-        backlogged lane at least once unless its bucket is empty; if a sweep
-        serves nothing while backlog remains, every backlogged lane is out
-        of quota, and — only while the fleet has genuine slack
-        (:meth:`_fleet_has_idle`) — the next backlogged lane in ring order
-        is served past its cap (``borrowed``: quotas are relative shares,
-        not hard partitions, but borrowing against a *busy* fleet would
-        just park the overflow in engine queues ahead of in-quota work).
-        Returns whether an entry was served; ``False`` means every
-        backlogged lane is throttled and the fleet is too busy to borrow —
-        the backlog waits for tokens to refill (a later capacity event
-        re-drains).  Callers guarantee backlog and headroom.
+        deficit closes the visit itself, so a spent visit never costs a
+        step while slots are free: one uncapped lane drains like a FIFO.
+        One full sweep serves every backlogged lane at least once unless
+        its bucket is empty; if a sweep serves nothing while backlog
+        remains, every backlogged lane is out of quota, and — only while
+        the fleet has genuine slack (:meth:`_fleet_has_idle`) — the next
+        backlogged lane in ring order is served past its cap
+        (``borrowed``: quotas are relative shares, not hard partitions,
+        but borrowing against a *busy* fleet would just park the overflow
+        in engine queues ahead of in-quota work).  Returns whether an
+        entry was served; ``False`` means every backlogged lane is
+        throttled and the fleet is too busy to borrow — the backlog waits
+        for tokens to refill (a later capacity event re-drains).  Callers
+        guarantee backlog and headroom.
         """
         ring = self._lane_ring
-        now = self._now()
         for _ in range(len(ring)):
-            key = ring[self._lane_cursor]
-            lane = self._lanes[key]
+            lane = ring[self._lane_cursor]
+            entries = lane.entries
             if not self._visit_open:
-                self._deficit[key] = min(
-                    self._deficit[key] + self._lane_quantum[key],
-                    2.0 * self._lane_quantum[key]) if lane else 0.0
+                quantum = lane.book.weight
+                lane.deficit = min(lane.deficit + quantum, 2.0 * quantum) \
+                    if entries else 0.0
                 self._visit_open = True
-            if lane and self._deficit[key] >= 1.0:
-                bucket = self._buckets.get(key)
-                book = self.stats.tenants[key]
-                if bucket is None or bucket.try_take(now):
-                    self._deficit[key] -= 1.0
-                    entry = lane.popleft()
-                    self._fair_backlog -= 1
-                    if not lane:
-                        self._deficit[key] = 0.0
+            if entries and lane.deficit >= 1.0:
+                bucket = lane.bucket
+                if bucket is None or bucket.try_take(self._now()):
+                    lane.deficit -= 1.0
+                    entry = entries.popleft()
+                    self._backlog -= 1
+                    if not entries:
+                        lane.deficit = 0.0
                         self._advance_lane()
-                    elif self._deficit[key] < 1.0:
+                    elif lane.deficit < 1.0:
                         self._advance_lane()  # visit spent: next step moves on
-                    self._release_fair(entry)
+                    self._release(entry)
                     return True
-                book.throttled += 1  # once per visit, not per entry
+                lane.book.throttled += 1  # once per visit, not per entry
             self._advance_lane()
         # Full sweep, nothing in quota: borrow-from-idle on the next
         # backlogged lane in ring order — idle fleet only.
         if not self._fleet_has_idle():
             return False
         for _ in range(len(ring)):
-            key = ring[self._lane_cursor]
-            lane = self._lanes[key]
-            if lane:
-                book = self.stats.tenants[key]
-                book.borrowed += 1
-                entry = lane.popleft()
-                self._fair_backlog -= 1
+            lane = ring[self._lane_cursor]
+            if lane.entries:
+                lane.book.borrowed += 1
+                entry = lane.entries.popleft()
+                self._backlog -= 1
                 self._advance_lane()
-                self._release_fair(entry)
+                self._release(entry)
                 return True
             self._advance_lane()
         return False
@@ -1148,8 +1106,7 @@ class DataParallelCluster:
         self._resync_load(index)  # crash evacuation bypassed submit/finish
         for request in lost:
             request.lost = True
-            if self.tenancy is not None:
-                self._book(request).lost += 1
+            self._lane_for(request).book.lost += 1
         self._lost.extend(lost)
         self.stats.lost += len(lost)
         self._recompute_weights()
@@ -1369,10 +1326,9 @@ class DataParallelCluster:
         registry.gauge(prefix + "cache_hit_rate", self._hit_rate_metric)
         registry.gauge(prefix + "gpu_used_bytes", self._gpu_bytes_metric)
         if self.tenancy is not None:
-            registry.gauge(prefix + "lane_backlog",
-                           lambda: self._fair_backlog)
-            registry.gauge(prefix + "lane_deficit_total",
-                           lambda: float(sum(self._deficit.values())))
+            registry.gauge(prefix + "lane_backlog", lambda: self._backlog)
+            registry.gauge(prefix + "lane_deficit_total", lambda: float(
+                sum(lane.deficit for lane in self._lane_ring)))
         for handle in self.handles:
             self._register_replica_gauge(handle.index)
 
@@ -1419,34 +1375,28 @@ class DataParallelCluster:
                 callback()
 
     def donate_queued(self):
-        """Pop the oldest queued request for a sibling shard to serve
-        (FIFO lane first; the deprioritized lane only when the FIFO lane is
-        empty, mirroring local drain order).  Returns the ``(request,
-        enqueue_time)`` entry, or ``None`` when nothing is waiting.  The
-        enqueue timestamp travels with the request so the receiving shard
-        stamps the *full* cross-shard queue delay.
+        """Pop a queued request for a sibling shard to serve.  Returns the
+        ``(request, enqueue_time)`` entry, or ``None`` when nothing is
+        waiting.  The enqueue timestamp travels with the request so the
+        receiving shard stamps the *full* cross-shard queue delay.
 
-        Under tenant fairness the donor lane is the most backlogged one
-        (ties to earliest activation) — relieving the longest lane is the
-        donation that helps local fairness most — and the tenant's book
-        records the hand-off so region-wide ledgers stay conserved."""
-        if self._fair_backlog:
-            # `_fair_backlog > 0` guarantees some lane is non-empty, so the
-            # scan always lands on a donor (possibly the anonymous None lane).
-            donor, best = None, 0
-            for key in self._lane_ring:
-                backlog = len(self._lanes[key])
-                if backlog > best:
-                    donor, best = key, backlog
-            entry = self._lanes[donor].popleft()
-            self._fair_backlog -= 1
-            self.stats.tenants[donor].donated += 1
-        elif self._queue:
-            entry = self._queue.popleft()
+        The donor is the head of the most backlogged admission lane (ties
+        to earliest activation; on the anonymous lane, the oldest entry) —
+        relieving the longest lane is the donation that helps local
+        fairness most — and the deprioritized lane donates only when every
+        admission lane is empty, mirroring local drain order.  The
+        request's lane book records the hand-off so region-wide ledgers
+        stay conserved."""
+        if self._backlog:
+            lane = max(self._lane_ring, key=lambda lane: len(lane.entries))
+            entry = lane.entries.popleft()
+            self._backlog -= 1
         elif self._low_queue:
             entry = self._low_queue.popleft()
+            lane = self._lane_for(entry[0])
         else:
             return None
+        lane.book.donated += 1
         self.stats.donated += 1
         return entry
 
@@ -1456,9 +1406,9 @@ class DataParallelCluster:
         as a local release would, then submit it here.  The caller must
         have checked :meth:`can_admit` first.  Returns the engine index.
 
-        Under tenant fairness the thief charges its own token bucket for the
-        tenant (or books a borrow) — region-wide, a tenant's quota is the sum
-        of its per-shard caps, and stolen work must not launder past it."""
+        The thief charges its own token bucket for the request's lane (or
+        books a borrow) — region-wide, a tenant's quota is the sum of its
+        per-shard caps, and stolen work must not launder past it."""
         request, enqueued_at = entry
         self.stats.stolen += 1
         delay = self._now() - enqueued_at
@@ -1470,13 +1420,10 @@ class DataParallelCluster:
             self._tracer.span("dispatch", enqueued_at, self._now(),
                               self._trace_tid, request.request_id,
                               lane="stolen")
-        if self.tenancy is not None:
-            book = self._book(request)
-            book.stolen += 1
-            bucket = self._buckets.get(getattr(request, "tenant_id", None))
-            if bucket is not None and not bucket.try_take(self._now()):
-                book.borrowed += 1
-            return self._submit_fair(request, book)
+        lane = self._lane_for(request)
+        lane.book.stolen += 1
+        if lane.bucket is not None and not lane.bucket.try_take(self._now()):
+            lane.book.borrowed += 1
         return self._submit(request)
 
     def raw_capability(self, index: int) -> float:

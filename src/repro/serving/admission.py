@@ -31,7 +31,7 @@ class SloPolicy:
     """Cluster-level SLO admission policy (shed or deprioritize past the knee).
 
     The dispatcher consults the policy whenever an arrival would have to wait
-    in the global admission queue: if the estimated queue wait already
+    in the global admission queue: if the estimated wait in its lane already
     exceeds the request's TTFT deadline, admitting it cannot produce a
     deadline-compliant response, so the policy acts instead of queueing.
 
@@ -41,9 +41,9 @@ class SloPolicy:
             its effective deadline is past the knee.
         mode: ``"shed"`` rejects the request outright (it never runs, and is
             counted in ``DispatchStats.shed``); ``"deprioritize"`` moves it
-            to a low-priority lane that the dispatcher drains only while the
-            FIFO lane is empty — it still completes eventually, but never
-            delays a deadline-feasible arrival.
+            to a low-priority lane that the dispatcher drains only while
+            every admission lane is empty — it still completes eventually,
+            but never delays a deadline-feasible arrival.
         slowdown_target: Optional per-request tightening: when set together
             with ``isolated_ttft``, the effective deadline is
             ``min(ttft_deadline, slowdown_target * isolated_ttft(request))``
@@ -139,12 +139,14 @@ class SloPolicy:
 class TenantFairnessPolicy:
     """Per-tenant quotas and weighted-fair dispatch configuration.
 
-    Attaching one to a :class:`DataParallelCluster` (``tenancy=``) switches
-    its admission queue from a single FIFO to per-tenant lanes drained by
-    deficit round-robin, with token-bucket rate caps on admission.  The
-    policy object is immutable *configuration* — every cluster (each shard
-    of a region) builds its own runtime lane state from it, so one policy
-    can be shared across a whole region.
+    A :class:`DataParallelCluster`'s admission queue is a ring of lanes
+    drained by deficit round-robin.  Without a policy it has one anonymous
+    lane with quantum 1 and no quota, which is a FIFO.  Attaching a policy
+    (``tenancy=``) gives each tenant its own lane, weighted by its class,
+    with token-bucket rate caps on admission.  The policy object is
+    immutable *configuration* — every cluster (each shard of a region)
+    builds its own runtime lane state from it, so one policy can be shared
+    across a whole region.
 
     Semantics:
 
@@ -153,19 +155,21 @@ class TenantFairnessPolicy:
       serves everyone immediately; weights only matter while lanes are
       backlogged.
     * **Quotas are relative shares, not hard partitions** (borrow-from-idle):
-      a tenant whose token bucket is empty is throttled only while *another*
-      lane has unthrottled backlogged work.  When the rest of the fleet is
-      idle — or every backlogged lane is equally out of budget — the
-      dispatcher serves past the cap and counts the overage as ``borrowed``
-      instead of leaving capacity on the floor.
+      a tenant whose token bucket is empty is throttled while *another*
+      lane has in-quota backlogged work, or while the fleet is busy (half
+      or more of its batch capacity in use).  When the fleet has that
+      slack and no in-quota work waits, the dispatcher serves past the cap
+      and counts the overage as ``borrowed`` instead of leaving capacity
+      on the floor.
 
     Attributes:
         classes: Map of SLO-class name to :class:`SloClass`-like objects
             (``weight`` attribute); resolves each tenant's DRR quantum from
             the class its requests carry.
         quota_rps: Per-tenant admission-rate caps, requests/second.  Tenants
-            absent from the map (and the anonymous ``None`` lane) are
-            uncapped.  An empty map means weighted-fair dispatch only.
+            absent from the map (and the ``None`` lane of requests without
+            a tenant id) are uncapped.  An empty map means weighted-fair
+            dispatch only.
         quota_burst: Token-bucket depth, in requests: how far a tenant may
             burst above its sustained rate before throttling.
         default_weight: DRR quantum for tenants whose requests carry no (or

@@ -40,8 +40,8 @@ On top of routing sits the **SLO admission lane** (``slo_policy=``, a
 :class:`~repro.serving.admission.SloPolicy`): arrivals whose estimated
 global-queue wait exceeds their TTFT deadline are shed (rejected with
 accounting) or deprioritized into a low-priority lane drained only while
-the FIFO lane is empty.  Goodput, shed rate and SLO attainment surface in
-``summary().extra``.
+every admission lane is empty.  Goodput, shed rate and SLO attainment
+surface in ``summary().extra``.
 
 **Elastic fleets**: the cluster is no longer fixed at construction time.
 Every replica sits behind a :class:`ReplicaHandle` with an explicit

@@ -110,6 +110,15 @@ def test_slo_policy_attained():
 # --------------------------------------------------------------------- #
 # The queue-wait estimator
 # --------------------------------------------------------------------- #
+def _estimated_wait(cluster):
+    """The SLO gate's wait estimate for the next arrival.  On the one
+    anonymous lane it must equal the public whole-backlog estimate (the
+    autoscaler's signal) bit for bit."""
+    gate = cluster._estimated_lane_wait(cluster._lane_ring[0])
+    assert gate == cluster.estimated_queue_wait()
+    return gate
+
+
 def _saturated_cluster(slo_policy=None, capacity=1, n=2):
     sim = _FakeSim()
     engines = [_QueueEngine(capacity, sim=sim) for _ in range(n)]
@@ -122,22 +131,22 @@ def _saturated_cluster(slo_policy=None, capacity=1, n=2):
 
 def test_estimator_is_optimistic_before_any_finish():
     _, _, cluster = _saturated_cluster()
-    assert cluster.estimated_queue_wait() == 0.0
+    assert _estimated_wait(cluster) == 0.0
 
 
 def test_estimator_tracks_inter_finish_ewma():
     sim, engines, cluster = _saturated_cluster()
     sim.now = 5.0
     engines[0].finish_one()      # first finish: no interval yet
-    assert cluster.estimated_queue_wait() == 0.0
+    assert _estimated_wait(cluster) == 0.0
     sim.now = 7.0
     engines[1].finish_one()      # interval 2.0 seeds the EWMA
-    assert cluster.estimated_queue_wait() == pytest.approx(2.0)
+    assert _estimated_wait(cluster) == pytest.approx(2.0)
     sim.now = 8.0
     engines[0].submit(_req(rid=90))  # refill so another finish can happen
     engines[0].finish_one()      # interval 1.0 folds in at alpha
     expected = (1 - FINISH_INTERVAL_EWMA_ALPHA) * 2.0 + FINISH_INTERVAL_EWMA_ALPHA * 1.0
-    assert cluster.estimated_queue_wait() == pytest.approx(expected)
+    assert _estimated_wait(cluster) == pytest.approx(expected)
 
 
 def test_estimator_amortizes_same_timestamp_batches():
@@ -148,11 +157,11 @@ def test_estimator_amortizes_same_timestamp_batches():
     sim.now = 2.0
     engines[0].finish_one()
     engines[0].finish_one()  # same instant: batch of 2, no zero samples
-    assert cluster.estimated_queue_wait() == 0.0  # still seeding
+    assert _estimated_wait(cluster) == 0.0  # still seeding
     sim.now = 6.0
     engines[1].finish_one()
     # The batch of 2 took 4.0s until the next drain: 2.0s per slot.
-    assert cluster.estimated_queue_wait() == pytest.approx(2.0)
+    assert _estimated_wait(cluster) == pytest.approx(2.0)
 
 
 def test_estimator_scales_with_queue_position():
@@ -168,7 +177,7 @@ def test_estimator_scales_with_queue_position():
     cluster.dispatch(_req(rid=13))
     assert cluster.queue_len() == 2
     # Next arrival would sit at position 3: three inter-finish intervals.
-    assert cluster.estimated_queue_wait() == pytest.approx(3 * 2.0)
+    assert _estimated_wait(cluster) == pytest.approx(3 * 2.0)
 
 
 # --------------------------------------------------------------------- #
@@ -317,16 +326,16 @@ def test_estimator_folds_batched_intervals_hand_computed_ewma():
     sim.now = 1.0
     for _ in range(3):
         engines[0].finish_one()      # one drain event of size 3
-    assert cluster.estimated_queue_wait() == 0.0   # still seeding
+    assert _estimated_wait(cluster) == 0.0   # still seeding
     sim.now = 4.0
     engines[1].finish_one()          # (4.0 - 1.0) / 3 = 1.0 seeds the EWMA
-    assert cluster.estimated_queue_wait() == pytest.approx(1.0)
+    assert _estimated_wait(cluster) == pytest.approx(1.0)
     engines[1].finish_one()          # same instant: grows the current batch
     sim.now = 5.0
     engines[1].finish_one()          # (5.0 - 4.0) / 2 = 0.5 folds in
     expected = (1 - FINISH_INTERVAL_EWMA_ALPHA) * 1.0 \
         + FINISH_INTERVAL_EWMA_ALPHA * 0.5
-    assert cluster.estimated_queue_wait() == pytest.approx(expected)
+    assert _estimated_wait(cluster) == pytest.approx(expected)
 
 
 def test_estimator_amortized_wait_scales_with_queue_position():
@@ -343,4 +352,4 @@ def test_estimator_amortized_wait_scales_with_queue_position():
     for rid in range(20, 25):
         cluster.dispatch(_req(rid=rid))
     assert cluster.queue_len() == 2
-    assert cluster.estimated_queue_wait() == pytest.approx(3 * 3.0)
+    assert _estimated_wait(cluster) == pytest.approx(3 * 3.0)

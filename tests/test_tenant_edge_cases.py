@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.quotas import QueueStats
 from repro.hardware.cluster import DataParallelCluster
-from repro.serving.admission import TenantFairnessPolicy
+from repro.serving.admission import SloPolicy, TenantFairnessPolicy
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 from repro.workload.request import Request
@@ -304,3 +304,32 @@ def test_drr_fills_every_free_slot_while_a_lane_waits():
     (book,) = fair.stats.tenants.values()
     assert book.borrowed == 0
     assert book.admitted == 16
+
+
+def test_low_lane_donation_is_booked():
+    """A donation out of the deprioritized lane leaves its tenant's
+    ledger balanced: the book records it as ``donated``."""
+    sim = Simulator()
+    engine = _LifecycleEngine(1, sim)
+    cluster = DataParallelCluster(
+        [engine], sim=sim, tenancy=TenantFairnessPolicy(),
+        slo_policy=SloPolicy(ttft_deadline=0.5, mode="deprioritize"))
+    engine.cluster = cluster
+
+    def arrive(rid):
+        cluster.dispatch(Request(request_id=rid, arrival_time=sim.now,
+                                 input_tokens=10, output_tokens=2,
+                                 tenant_id=3))
+
+    for rid, now in enumerate((1.0, 2.0)):  # seed a 1 s finish interval
+        arrive(rid)
+        sim.now = now
+        engine.finish_one()
+    arrive(2)  # admitted
+    arrive(3)  # a 1 s wait exceeds the 0.5 s deadline: deprioritized
+    assert cluster.low_queue_len() == 1
+    assert cluster.donate_queued()[0].request_id == 3
+    book = cluster.stats.tenants[3]
+    assert book.donated == cluster.stats.donated == 1
+    assert book.submitted + book.stolen \
+        == book.admitted + book.shed + book.donated + cluster.queue_len()

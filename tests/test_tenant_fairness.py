@@ -74,6 +74,11 @@ def _build(trace, tenancy, *, policy="least_loaded", slo=None, seed=5,
     return system
 
 
+def _lane_len(cluster, key):
+    lane = cluster._lanes.get(key)
+    return len(lane.entries) if lane is not None else 0
+
+
 def _low_lane_count(cluster, key):
     return sum(1 for request, _ in cluster._low_queue
                if request.tenant_id == key)
@@ -83,8 +88,7 @@ def _assert_books_conserve(cluster, trace_requests=None):
     """The per-tenant ledger identities, plus the sums-to-stats twins."""
     stats = cluster.stats
     for key, book in stats.tenants.items():
-        waiting = len(cluster._lanes.get(key, ())) \
-            + _low_lane_count(cluster, key)
+        waiting = _lane_len(cluster, key) + _low_lane_count(cluster, key)
         assert book.submitted + book.stolen == \
             book.admitted + book.shed + book.donated + waiting, (key, book)
     # submitted counts offers through the front door (arrivals, including
@@ -226,19 +230,19 @@ def test_drr_no_starvation_bound():
         tenancy=tenancy)
     cluster = system.cluster
     serve_order = []
-    original = cluster._release_fair
+    original = cluster._release
 
     def recording(entry):
         serve_order.append(entry[0].tenant_id)
         return original(entry)
 
-    cluster._release_fair = recording
+    cluster._release = recording
     system.run_trace(trace.fresh(), horizon=trace.duration)
     assert serve_order, "overload must force lane queueing"
     # Replay the serve sequence against the known lane populations: a lane
     # is backlogged between its first and last serve (entries only leave a
     # lane by being served — no shedding, donation, or loss here).
-    quanta = {key: cluster._lane_quantum[key] for key in cluster._lane_ring}
+    quanta = {lane.key: lane.book.weight for lane in cluster._lane_ring}
     round_bound = sum(2.0 * q for q in quanta.values())
     last_seen = {}
     for i, tenant in enumerate(serve_order):
@@ -299,7 +303,7 @@ def test_region_tenant_books_conserve(n_shards, rps, spill, steal):
             entry["admitted"] += book.admitted
             entry["shed"] += book.shed
             entry["donated"] += book.donated
-            entry["lane"] += len(cluster._lanes.get(key, ())) \
+            entry["lane"] += _lane_len(cluster, key) \
                 + _low_lane_count(cluster, key)
     for key, entry in merged.items():
         assert entry["submitted"] + entry["stolen"] == \
